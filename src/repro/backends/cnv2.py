@@ -46,6 +46,7 @@ from repro.hw.config import ArchConfig
 from repro.hw.counters import ActivityCounters
 from repro.hw.timing_types import LayerTiming, NetworkTiming
 from repro.nn.network import Network
+from repro.weight_memo import weight_memo
 
 __all__ = [
     "brick_slot_mask",
@@ -89,6 +90,34 @@ def pass_weight_union(weights: np.ndarray, brick_size: int) -> np.ndarray:
     ).transpose(2, 3, 0, 1)
 
 
+def _pass_unions(
+    weights: np.ndarray, filters_per_group: int, filters_per_pass: int,
+    brick_size: int,
+) -> list[list[np.ndarray]]:
+    """:func:`pass_weight_union` of every (group, pass) as float32, memoised.
+
+    ``unions[group][pass]`` is derived once per weight bank and
+    geometry: the weights never change between calls.
+    """
+    def build(w: np.ndarray) -> list[list[np.ndarray]]:
+        groups = [
+            w[g : g + filters_per_group]
+            for g in range(0, w.shape[0], filters_per_group)
+        ]
+        return [
+            [
+                pass_weight_union(
+                    group[p : p + filters_per_pass], brick_size
+                ).astype(np.float32)
+                for p in range(0, filters_per_group, filters_per_pass)
+            ]
+            for group in groups
+        ]
+
+    key = ("cnv2.pass_unions", filters_per_group, filters_per_pass, brick_size)
+    return weight_memo(weights, key, build)
+
+
 def pair_intersection_counts(
     act_mask: np.ndarray, union_mask: np.ndarray
 ) -> np.ndarray:
@@ -96,14 +125,15 @@ def pair_intersection_counts(
 
     ``act_mask`` is ``(y, x, bricks, slot)`` (from :func:`brick_slot_mask`),
     ``union_mask`` is ``(bricks, slot)`` — one (fy, fx) plane of
-    :func:`pass_weight_union`.  Returns float64 counts ``(y, x, bricks)``;
+    :func:`pass_weight_union`; either may already be float32 0/1, which
+    spares the per-call conversion.  Returns float64 counts ``(y, x, bricks)``;
     ``brick_size - count`` is the skipped-pair count (zero activation OR
     all-zero weights), the quantity the property tests brute-force.
     """
     return np.einsum(
         "yxbs,bs->yxb",
-        act_mask.astype(np.float32),
-        union_mask.astype(np.float32),
+        np.asarray(act_mask, dtype=np.float32),
+        np.asarray(union_mask, dtype=np.float32),
     ).astype(np.float64)
 
 
@@ -131,6 +161,8 @@ def cnv2_conv_timing(
     stride = geom["stride"]
     out_y, out_x = geom["out_y"], geom["out_x"]
     windows = out_y * out_x
+    fpg = work.filters_per_group
+    unions = _pass_unions(weights, fpg, config.filters_per_pass, config.brick_size)
 
     counters = ActivityCounters()
     total_cycles = 0
@@ -140,7 +172,8 @@ def cnv2_conv_timing(
 
     for group in range(work.num_groups):
         slab = group_activations(work, group)
-        act_mask = brick_slot_mask(slab, config.brick_size)
+        # Converted once here rather than once per kernel tap and pass.
+        act_mask = brick_slot_mask(slab, config.brick_size).astype(np.float32)
         bricks = act_mask.shape[2]
         lane_of = lane_assignment(kernel, kernel, bricks, lanes)
         onehots = np.zeros((kernel, kernel, bricks, lanes), dtype=np.float64)
@@ -148,16 +181,9 @@ def cnv2_conv_timing(
             for fx in range(kernel):
                 onehots[fy, fx, np.arange(bricks), lane_of[fy, fx]] = 1.0
 
-        fpg = work.filters_per_group
-        group_weights = weights[group * fpg : (group + 1) * fpg]
-        passes = ceil_div(fpg, config.filters_per_pass)
         group_cycles = 0
 
-        for p in range(passes):
-            pass_weights = group_weights[
-                p * config.filters_per_pass : (p + 1) * config.filters_per_pass
-            ]
-            union = pass_weight_union(pass_weights, config.brick_size)
+        for union in unions[group]:
             lane_cycles = np.zeros((out_y, out_x, lanes), dtype=np.float64)
             dispatched = 0.0
             for fy in range(kernel):

@@ -49,11 +49,12 @@ import numpy as np
 
 from repro.baseline.other_layers import other_layers_timing
 from repro.baseline.timing import conv_works_from_inputs
-from repro.baseline.workload import ConvWork, ceil_div, group_activations
+from repro.baseline.workload import ConvWork, group_activations
 from repro.hw.config import ArchConfig
 from repro.hw.counters import ActivityCounters
 from repro.hw.timing_types import LayerTiming, NetworkTiming
 from repro.nn.network import Network
+from repro.weight_memo import weight_memo
 
 __all__ = [
     "effectual_pair_count",
@@ -74,6 +75,19 @@ def _strided_plane(slab: np.ndarray, fy: int, fx: int, stride: int,
     return slab[:, fy::stride, fx::stride][:, :out_y, :out_x]
 
 
+def _filter_counts(weights: np.ndarray, filters_per_group: int) -> np.ndarray:
+    """# filters with a non-zero weight per (group, depth, fy, fx), memoised.
+
+    Int64 array ``(groups, group_depth, Ky, Kx)``; the weights never
+    change between calls, so it is derived once per weight bank.
+    """
+    def build(w: np.ndarray) -> np.ndarray:
+        nonzero = (w != 0.0).reshape(-1, filters_per_group, *w.shape[1:])
+        return nonzero.sum(axis=1, dtype=np.int64)
+
+    return weight_memo(weights, ("scnn.filter_counts", filters_per_group), build)
+
+
 def effectual_pair_count(work: ConvWork, weights: np.ndarray) -> int:
     """Exact count of effectual (non-zero weight x non-zero activation)
     products for ``work``, channel-sum form.
@@ -87,20 +101,47 @@ def effectual_pair_count(work: ConvWork, weights: np.ndarray) -> int:
     kernel = geom["kernel"]
     stride = geom["stride"]
     out_y, out_x = geom["out_y"], geom["out_x"]
-    fpg = work.filters_per_group
+    counts = _filter_counts(weights, work.filters_per_group)
     total = 0
     for group in range(work.num_groups):
         slab = group_activations(work, group)
-        group_weights = weights[group * fpg : (group + 1) * fpg]
-        # (# filters with non-zero weight) per (depth, fy, fx).
-        filter_counts = (group_weights != 0.0).sum(axis=0).astype(np.int64)
         for fy in range(kernel):
             for fx in range(kernel):
                 act_nnz = (
                     _strided_plane(slab, fy, fx, stride, out_y, out_x) != 0.0
                 ).sum(axis=(1, 2)).astype(np.int64)
-                total += int(filter_counts[:, fy, fx] @ act_nnz)
+                total += int(counts[group, :, fy, fx] @ act_nnz)
     return total
+
+
+def _product_map(slab: np.ndarray, counts: np.ndarray, stride: int,
+                 out_y: int, out_x: int) -> np.ndarray:
+    """Effectual products landing on each valid output position.
+
+    Tap ``(ry + stride*a, rx + stride*b)`` reads only the ``(ry, rx)``
+    stride phase of the slab, so per phase one GEMM contracts the depth
+    axis for all of the phase's taps at once — ``planes[a, b] =
+    counts[:, fy, fx] @ (phase != 0)`` — and each plane is then shifted
+    onto the output grid.  Every term is an integer-valued float64, so
+    the sums are exact in any order.
+    """
+    depth = slab.shape[0]
+    kernel_y, kernel_x = counts.shape[1:]
+    mask = slab != 0.0
+    product_map = np.zeros((out_y, out_x), dtype=np.float64)
+    for ry in range(min(stride, kernel_y)):
+        for rx in range(min(stride, kernel_x)):
+            phase = mask[:, ry::stride, rx::stride]
+            taps = counts[:, ry::stride, rx::stride]
+            rows, cols = taps.shape[1:]
+            planes = (
+                taps.reshape(depth, -1).T.astype(np.float64)
+                @ phase.reshape(depth, -1).astype(np.float64)
+            ).reshape(rows, cols, *phase.shape[1:])
+            for a in range(rows):
+                for b in range(cols):
+                    product_map += planes[a, b, a : a + out_y, b : b + out_x]
+    return product_map
 
 
 def scnn_conv_timing(
@@ -113,13 +154,20 @@ def scnn_conv_timing(
             f"geometry expects {work.geometry['num_filters']}"
         )
     geom = work.geometry
-    kernel = geom["kernel"]
     stride = geom["stride"]
     out_y, out_x = geom["out_y"], geom["out_x"]
     units = config.num_units
     banks = 2 * config.multipliers_per_unit
     f_live = min(work.filters_per_group, config.filters_per_unit)
     fpg = work.filters_per_group
+    counts = _filter_counts(weights, fpg)
+
+    # Contiguous row-major position chunks, one per PE; position p maps
+    # to accumulator bank p mod B of its PE.
+    n_pos = out_y * out_x
+    bounds = (np.arange(units + 1) * n_pos) // units
+    pe_of = np.repeat(np.arange(units), np.diff(bounds))
+    pe_bank = pe_of * banks + np.arange(n_pos) % banks
 
     counters = ActivityCounters()
     total_cycles = 0
@@ -128,43 +176,23 @@ def scnn_conv_timing(
 
     for group in range(work.num_groups):
         slab = group_activations(work, group)
-        group_weights = weights[group * fpg : (group + 1) * fpg]
-        filter_counts = (group_weights != 0.0).sum(axis=0).astype(np.float64)
-
-        # Effectual products landing on each valid output position.
-        product_map = np.zeros((out_y, out_x), dtype=np.float64)
-        for fy in range(kernel):
-            for fx in range(kernel):
-                act_mask = (
-                    _strided_plane(slab, fy, fx, stride, out_y, out_x) != 0.0
-                ).astype(np.float64)
-                product_map += np.einsum(
-                    "z,zyx->yx", filter_counts[:, fy, fx], act_mask
-                )
-        products = product_map.reshape(-1)
-        n_pos = products.size
+        products = _product_map(
+            slab, counts[group], stride, out_y, out_x
+        ).reshape(-1)
         group_products = float(products.sum())
 
-        # Contiguous row-major position chunks, one per PE.
-        bounds = [(pe * n_pos) // units for pe in range(units + 1)]
-        group_cycles = 0
-        for pe in range(units):
-            lo, hi = bounds[pe], bounds[pe + 1]
-            if lo == hi:
-                continue
-            chunk = products[lo:hi]
-            mult_limited = ceil_div(
-                int(chunk.sum()), config.multipliers_per_unit
-            )
-            # Scatter: position p -> bank p mod B, ceil(products/F_live)
-            # serialized accumulations per position.
-            per_position = np.ceil(chunk / f_live)
-            bank_load = np.bincount(
-                np.arange(lo, hi) % banks, weights=per_position,
-                minlength=banks,
-            )
-            bank_limited = int(bank_load.max())
-            group_cycles = max(group_cycles, max(mult_limited, bank_limited))
+        pe_products = np.bincount(pe_of, weights=products, minlength=units)
+        mult_limited = -(
+            -pe_products.astype(np.int64) // config.multipliers_per_unit
+        )
+        # Scatter: ceil(products/F_live) serialized accumulations per
+        # position, summed per (PE, bank).
+        bank_load = np.bincount(
+            pe_bank, weights=np.ceil(products / f_live),
+            minlength=units * banks,
+        ).reshape(units, banks)
+        bank_limited = bank_load.max(axis=1).astype(np.int64)
+        group_cycles = int(np.maximum(mult_limited, bank_limited).max())
         total_cycles += group_cycles
 
         # Fig. 10 bookkeeping: a cycle offers units x lanes event slots,
@@ -185,7 +213,7 @@ def scnn_conv_timing(
         counters.add(
             "nm_reads", float((slab != 0.0).sum()) / config.brick_size
         )
-        counters.add("sb_reads", float((group_weights != 0.0).sum()))
+        counters.add("sb_reads", float(counts[group].sum()))
         counters.add(
             "nm_writes", out_y * out_x * fpg / config.brick_size
         )

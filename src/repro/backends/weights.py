@@ -32,8 +32,9 @@ def prune_weights(weights: np.ndarray, fraction: float) -> np.ndarray:
     """Zero the smallest-magnitude ``fraction`` of ``weights``.
 
     The threshold is the ``fraction``-quantile of ``|weights|``; ties at
-    the cut prune together (deterministic, order-independent).
-    ``fraction <= 0`` returns the input unchanged (no copy).
+    the cut prune together (deterministic, order-independent).  The
+    result is read-only (see :mod:`repro.weight_memo`).  ``fraction <= 0``
+    returns the input itself (no copy).
     """
     if fraction <= 0.0:
         return weights
@@ -43,6 +44,7 @@ def prune_weights(weights: np.ndarray, fraction: float) -> np.ndarray:
     cutoff = np.quantile(magnitudes, fraction)
     pruned = weights.copy()
     pruned[magnitudes <= cutoff] = 0.0
+    pruned.flags.writeable = False
     return pruned
 
 
@@ -56,7 +58,8 @@ def prune_input_channels(weights: np.ndarray, fraction: float) -> np.ndarray:
     (unstructured magnitude pruning leaves the union dense for any
     realistic filter count: an offset is skippable only when every
     filter of the pass is zero there).  ``weights`` is a conv filter
-    bank ``(filters, depth, Ky, Kx)``.
+    bank ``(filters, depth, Ky, Kx)``; the result is read-only, like
+    :func:`prune_weights`'s.
     """
     if fraction <= 0.0:
         return weights
@@ -66,6 +69,7 @@ def prune_input_channels(weights: np.ndarray, fraction: float) -> np.ndarray:
     cutoff = np.quantile(energy, fraction)
     pruned = weights.copy()
     pruned[:, energy <= cutoff, :, :] = 0.0
+    pruned.flags.writeable = False
     return pruned
 
 

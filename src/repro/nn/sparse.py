@@ -37,10 +37,10 @@ Weight transposes
 The partition gathers rows of the *transposed* weight matrix ``(K, N)``
 — contiguous row gathers instead of strided column gathers of the
 ``(N, K)`` layout, which profiling showed dominating small-``M`` layers.
-Transposes are cached per weight array (evicted by a weakref finalizer
-when the array dies).  The cache assumes weight arrays are replaced, not
-mutated in place — which is how :class:`~repro.nn.inference.WeightStore`
-and the training loop behave.
+Transposes are derived once per weight array and group count through
+the shared :mod:`repro.weight_memo` (the same memo holds the ABFT
+checksums and the weight-sparse backends' weight state), whose entries
+die with their array.
 
 Fault injection
 ---------------
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +76,7 @@ import numpy as np
 from repro import obs
 from repro.reliability import integrity
 from repro.reliability.faults import FaultInjector, InjectedFault
+from repro.weight_memo import weight_memo
 
 __all__ = [
     "MODES",
@@ -227,37 +227,26 @@ def summarize_records(records: list[GemmRecord]) -> dict:
 
 
 # ----------------------------------------------------------------------
-# cached contiguous weight transposes
+# memoised contiguous weight transposes
 # ----------------------------------------------------------------------
-_wt_cache: dict[int, list[np.ndarray]] = {}
-
-
 def transposed_weights(weights: np.ndarray, groups: int) -> list[np.ndarray]:
     """Per-group contiguous ``(K, group_filters)`` transposed weights.
 
     ``weights`` is the 4-D conv filter bank ``(N, depth/groups, Fy, Fx)``.
-    Results are cached per array object; the cache entry dies with the
-    array.  Arrays must not be mutated in place after first use (the
-    repo replaces weight arrays wholesale — see module docstring).
+    Memoised per array and ``groups`` (see :mod:`repro.weight_memo`).
     """
-    key = id(weights)
-    entry = _wt_cache.get(key)
-    if entry is None:
-        group_filters = weights.shape[0] // groups
-        entry = [
-            np.ascontiguousarray(
-                weights[g * group_filters : (g + 1) * group_filters]
-                .reshape(group_filters, -1)
-                .T
-            )
+    def build(w: np.ndarray) -> list[np.ndarray]:
+        group_filters = w.shape[0] // groups
+        # copy(), not ascontiguousarray(): a 1-filter group's transpose
+        # is already contiguous, and a view would pin ``w`` in the memo.
+        return [
+            w[g * group_filters : (g + 1) * group_filters]
+            .reshape(group_filters, -1)
+            .T.copy()
             for g in range(groups)
         ]
-        try:
-            weakref.finalize(weights, _wt_cache.pop, key, None)
-        except TypeError:
-            return entry  # not weakref-able: hand back uncached
-        _wt_cache[key] = entry
-    return entry
+
+    return weight_memo(weights, ("transposed", groups), build)
 
 
 # ----------------------------------------------------------------------

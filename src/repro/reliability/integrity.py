@@ -17,14 +17,14 @@ gives the invariant::
 i.e. each output row's sum must equal the patch row dotted with the
 weight matrix's row-sum vector.  The row-sum vector ``wt @ 1`` (and its
 absolute companion, used for the tolerance bound) is computed once per
-weight array and cached by ``id`` with a weakref finalizer — exactly the
-:func:`repro.nn.sparse.transposed_weights` idiom — so the steady-state
+weight array through the shared :mod:`repro.weight_memo` — the memo
+:func:`repro.nn.sparse.transposed_weights` uses — so the steady-state
 verification cost is one ``(M, K)`` GEMV plus one ``(M, N)`` row sum per
 GEMM: ``O(1/N + 1/K)`` of the GEMM itself.  The FC matvec invariant is
 the transpose: ``sum(weights @ flat) == (1 @ weights) @ flat`` with the
-column-sum vector cached per weight array, which as a side effect
-detects in-place corruption of FC weights (the cached checksum no longer
-matches the live array).
+column-sum vector memoised per weight array, which as a side effect
+detects in-place corruption of FC weights (the memoised checksum no
+longer matches the live array).
 
 Verification is **read-only**: it compares freshly computed scalars
 against the kernel's result and raises :class:`IntegrityError` on
@@ -84,12 +84,12 @@ import itertools
 import math
 import os
 import warnings
-import weakref
 
 import numpy as np
 
 from repro import obs
 from repro.reliability.policy import hash_fraction
+from repro.weight_memo import weight_memo
 
 __all__ = [
     "IntegrityError",
@@ -229,35 +229,21 @@ def should_verify(policy: tuple[str, float] | None = None, seed: int = 0) -> boo
 
 
 # ----------------------------------------------------------------------
-# cached checksum vectors (the transposed_weights caching idiom)
+# memoised checksum vectors
 # ----------------------------------------------------------------------
-_checksum_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _checksums(weights: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(sum, abs-sum)`` of ``weights`` along ``axis``, cached per array.
-
-    Weight arrays are replaced, not mutated (the repo-wide contract the
-    transpose cache already relies on) — which makes a cached checksum a
-    *detector* of in-place mutation rather than a victim of it: a bit
-    flipped in the live array no longer matches its publish-time sums.
-    """
-    key = id(weights)
-    entry = _checksum_cache.get(key)
-    if entry is None:
+    """``(sum, abs-sum)`` of ``weights`` along ``axis``, memoised per
+    array and axis (see :mod:`repro.weight_memo`)."""
+    def build(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # float64 accumulation: a corrupted float32 weight can sit near
         # the dtype max, where a same-dtype abs-sum overflows to inf and
         # spews RuntimeWarnings from inside the check itself.
-        entry = (
-            weights.sum(axis=axis, dtype=np.float64),
-            np.abs(weights).sum(axis=axis, dtype=np.float64),
+        return (
+            w.sum(axis=axis, dtype=np.float64),
+            np.abs(w).sum(axis=axis, dtype=np.float64),
         )
-        try:
-            weakref.finalize(weights, _checksum_cache.pop, key, None)
-        except TypeError:
-            return entry  # not weakref-able: hand back uncached
-        _checksum_cache[key] = entry
-    return entry
+
+    return weight_memo(weights, ("checksums", axis), build)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,8 @@ dense weights, and a strict win under channel-structured pruning.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from conftest import make_conv_work
@@ -53,9 +55,13 @@ from repro.backends import (
     scnn_conv_timing,
 )
 from repro.backends.registry import architectures
+from repro.backends.scnn import _product_map
 from repro.baseline.workload import ceil_div
 from repro.core.zfnaf import encode
 from repro.hw.config import PAPER_CONFIG
+from repro.nn.sparse import transposed_weights
+from repro.reliability.integrity import _checksums
+from repro.weight_memo import memo_size
 
 #: Paper-like conformance workloads (see module docstring for why the
 #: regime matters): depth >= 2 bricks, out_y*out_x >= num_units, one
@@ -384,6 +390,36 @@ def test_scnn_mults_match_quintuple_loop_brute_force(rng, kwargs):
     assert int(timing.counters.counts["mults"]) == expected
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    depth=st.integers(1, 12),
+    kernel=st.integers(1, 11),
+    stride=st.integers(1, 5),
+    extra=st.integers(0, 9),
+)
+@settings(max_examples=40)
+def test_scnn_product_map_matches_per_window_sum(
+    seed, depth, kernel, stride, extra
+):
+    """The stride-phase GEMM product map equals, position by position,
+    the direct sum over each output window — including strides larger
+    than the kernel (taps in no phase) and AlexNet's 11x11 / stride 4."""
+    rng = np.random.default_rng(seed)
+    side = kernel + extra
+    slab = rng.normal(size=(depth, side, side))
+    slab[rng.random(slab.shape) < 0.5] = 0.0
+    counts = rng.integers(0, 9, size=(depth, kernel, kernel))
+    out = (side - kernel) // stride + 1
+    expected = np.array([
+        [
+            (counts * (slab[:, y:y + kernel, x:x + kernel] != 0.0)).sum()
+            for x in range(0, out * stride, stride)
+        ]
+        for y in range(0, out * stride, stride)
+    ])
+    assert np.array_equal(_product_map(slab, counts, stride, out, out), expected)
+
+
 def test_scnn_pairs_never_exceed_dense_work(rng):
     """Halo products are excluded, so E <= dense MACs of the layer."""
     work, weights = make_conv_work(rng, in_depth=32, in_y=6, in_x=6,
@@ -407,3 +443,88 @@ def test_weight_pruning_is_deterministic_and_exact():
     assert prune_weights(weights, 0.0) is weights
     with pytest.raises(ValueError):
         prune_weights(weights, 1.0)
+
+
+def _timing_record(timing):
+    return (
+        timing.cycles,
+        dict(timing.lane_events),
+        dict(timing.counters.counts),
+    )
+
+
+def _memo_cases():
+    """(label, work, weights): dense, pruned, channel-pruned, and a
+    grouped layer whose 80 filters per group span two 64-filter passes
+    on the 4-unit configs."""
+    rng = np.random.default_rng(7)
+    work, dense = make_conv_work(
+        rng, in_depth=48, in_y=6, in_x=6, num_filters=96
+    )
+    grouped, grouped_dense = make_conv_work(
+        rng, in_depth=64, in_y=6, in_x=6, num_filters=160, groups=2
+    )
+    return [
+        ("dense", work, dense),
+        ("pruned", work, prune_weights(dense, WEIGHT_SPARSITY)),
+        ("channels", work, prune_input_channels(dense, 0.5)),
+        ("grouped", grouped, prune_weights(grouped_dense, WEIGHT_SPARSITY)),
+    ]
+
+
+MEMO_CONFIGS = [
+    PAPER_CONFIG.with_(num_units=units, brick_size=brick, empty_brick_cycles=empty)
+    for units in (4, 16)
+    for brick in (8, 16)
+    for empty in (0, 1)
+]
+
+
+@pytest.mark.parametrize("name", ["cnv2", "scnn"])
+def test_weight_memo_cold_equals_warm(name):
+    """Timing from a cold memo (a fresh copy of the weights per config)
+    equals timing from one array whose memo every config has warmed —
+    cycles, lane events and counters, to the unit."""
+    assert MEMO_CONFIGS[0].filters_per_pass == 64
+    spec = get_backend(name)
+    for label, work, weights in _memo_cases():
+        cold = [
+            _timing_record(spec.layer_timing(work, config, weights.copy()))
+            for config in MEMO_CONFIGS
+        ]
+        for _ in range(2):
+            warm = [
+                _timing_record(spec.layer_timing(work, config, weights))
+                for config in MEMO_CONFIGS
+            ]
+            assert warm == cold, label
+
+
+def test_weight_memo_entries_die_with_their_weights(rng):
+    """Dropped weight banks leave nothing behind in the memo."""
+    work, _ = make_conv_work(rng, in_depth=16, in_y=5, in_x=5, num_filters=8)
+    gc.collect()
+    start = memo_size()
+    for _ in range(50):
+        weights = prune_weights(
+            rng.normal(size=(8, 16, 3, 3)), WEIGHT_SPARSITY
+        )
+        for name in ("cnv2", "scnn"):
+            get_backend(name).layer_timing(work, PAPER_CONFIG, weights)
+        effectual_pair_count(work, weights)
+        for wt in transposed_weights(weights, 1):
+            _checksums(wt, 1)
+        _checksums(weights, 0)
+        assert memo_size() > start
+    del weights, wt
+    gc.collect()
+    assert memo_size() == start
+
+
+@pytest.mark.parametrize("prune", [prune_weights, prune_input_channels])
+def test_pruned_weights_are_read_only(rng, prune):
+    """An in-place edit of pruned weights raises instead of leaving a
+    stale memo entry behind."""
+    pruned = prune(rng.normal(size=(4, 8, 3, 3)), 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        pruned[0, 0, 0, 0] = 1.0

@@ -104,6 +104,17 @@ VALIDATOR_CASES = [
 ]
 
 
+def test_checksums_keyed_by_axis(rng):
+    """One array, two axes: each call gets its own sums (a memo keyed on
+    the array alone returned the axis-0 sums for axis 1)."""
+    w = rng.normal(size=(5, 7))
+    colsum, _ = integrity._checksums(w, 0)
+    rowsum, abs_rowsum = integrity._checksums(w, 1)
+    assert colsum.shape == (7,)
+    assert np.array_equal(rowsum, w.sum(axis=1))
+    assert np.array_equal(abs_rowsum, np.abs(w).sum(axis=1))
+
+
 class TestEnvValidators:
     @pytest.mark.parametrize(
         "env,resolve,junk,default,valid,expected", VALIDATOR_CASES

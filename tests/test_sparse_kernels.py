@@ -286,6 +286,16 @@ class TestMetricsAndRecords:
         assert all(x is y for x, y in zip(first, second))
         assert first[0].shape == (6 * 9, 4 // 2)
 
+    def test_transposed_weights_keyed_by_group_count(self, rng):
+        """One array, two group counts: each call gets its own transposes
+        (a memo keyed on the array alone returned the 1-group list)."""
+        w = rng.normal(size=(4, 6, 3, 3))
+        single = zskip.transposed_weights(w, 1)
+        halves = zskip.transposed_weights(w, 2)
+        assert len(single) == 1 and single[0].shape == (6 * 9, 4)
+        assert len(halves) == 2 and halves[1].shape == (6 * 9, 2)
+        assert np.array_equal(halves[1], w[2:].reshape(2, -1).T)
+
     def test_summarize_records_paths(self):
         make = lambda path: zskip.GemmRecord(
             kind="conv", path=path, dead_fraction=0.5, dead_rows=0.0,
