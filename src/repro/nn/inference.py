@@ -34,7 +34,6 @@ import numpy as np
 
 from repro import obs
 from repro.nn import layers as F
-from repro.nn import sparse as zskip
 from repro.nn.network import LayerKind, LayerSpec, Network
 from repro.nn.tensor import FixedPointFormat, dequantize, quantize
 
@@ -286,7 +285,6 @@ def run_forward(
         image = image.astype(np.float64)
     image = maybe_quantize(image)
 
-    zskip.pop_records()  # discard records left by unrelated layer calls
     for idx, layer in enumerate(network.layers):
         with obs.span(
             f"layer:{layer.name}", cat="nn", network=network.name,
@@ -305,11 +303,8 @@ def run_forward(
 
             out = maybe_quantize(out, layer.name)
             outputs[layer.name] = out
-            sparse_records = zskip.pop_records()
             if obs.tracing_enabled():
                 layer_span.set(shape=str(out.shape))
-                if sparse_records:
-                    layer_span.set(**zskip.summarize_records(sparse_records))
 
         if not keep_outputs:
             _release_consumed(network, idx, outputs, remaining)

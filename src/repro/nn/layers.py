@@ -19,13 +19,9 @@ would break the engine's bit-identity contract (and with it the golden,
 ZFNAf and timing validation that diffs hardware outputs against this
 model).
 
-The conv GEMM and the FC matvec route through the canonical partitioned
-kernels of :mod:`repro.nn.sparse`: the all-zero (ineffectual) slices of
-the patch matrix are split off so the ``CNVLUTIN_SPARSE`` mode can skip
-them for real wall-clock gains.  Dense and sparse modes are
-byte-identical by construction — see that module's docstring for the
-bit-identity argument.  Those kernels also carry the ABFT column
-checksums of :mod:`repro.reliability.integrity`: under
+The conv GEMM and the FC matvec run as one plain BLAS call each through
+the host kernels of :mod:`repro.nn.sparse`.  Those kernels also carry
+the ABFT column checksums of :mod:`repro.reliability.integrity`: under
 ``CNVLUTIN_INTEGRITY`` every (sampled) GEMM/matvec verifies a
 Huang-Abraham sum invariant *before* the bias add, read-only, so a
 silently corrupted product raises instead of flowing into downstream
@@ -85,8 +81,10 @@ def pad_input(activations: np.ndarray, pad: int) -> np.ndarray:
         raise ValueError("pad must be non-negative")
     if pad == 0:
         return activations
-    width = [(0, 0)] * (activations.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(activations, width)
+    *lead, in_y, in_x = activations.shape
+    padded = np.zeros((*lead, in_y + 2 * pad, in_x + 2 * pad), activations.dtype)
+    padded[..., pad:-pad, pad:-pad] = activations
+    return padded
 
 
 def im2col(
@@ -133,7 +131,6 @@ def conv2d(
     stride: int = 1,
     pad: int = 0,
     groups: int = 1,
-    sparse_mode: str | None = None,
 ) -> np.ndarray:
     """2-D convolution (cross-correlation, as in CNN frameworks).
 
@@ -149,10 +146,6 @@ def conv2d(
         Spatial stride and symmetric zero padding.
     groups:
         Grouped convolution (AlexNet-style two-GPU splits use ``groups=2``).
-    sparse_mode:
-        Optional per-call override of the :mod:`repro.nn.sparse` compute
-        path (``auto|always|never``); defaults to ``CNVLUTIN_SPARSE``.
-        The mode never changes the output bytes, only the wall-clock.
 
     Returns
     -------
@@ -183,12 +176,9 @@ def conv2d(
     # Compute in the inputs' precision (float32 weights halve the cost of
     # the full-resolution experiment sweeps; default stays float64).
     out_dtype = np.result_type(activations, weights)
-    mode = zskip.resolve_mode(sparse_mode)
-    cutoff = zskip.resolve_cutoff()
     transposed = zskip.transposed_weights(weights, groups)
-    # The bias add is unconditional (0.0 when absent): it normalizes the
-    # sign of the exactly-zero outputs, the one place the dense and
-    # sparse canonical paths could differ (see repro.nn.sparse).
+    # The bias add is unconditional (0.0 when absent), so a bias-free
+    # output carries no negative zeros.
     if activations.ndim == 4:
         batch = activations.shape[0]
         out = np.empty((batch, num_filters, out_y, out_x), dtype=out_dtype)
@@ -201,7 +191,7 @@ def conv2d(
             )
             for b in range(batch):
                 result = zskip.partitioned_gemm(
-                    cols[b], transposed[g], mode, cutoff
+                    cols[b], transposed[g]
                 )  # (out_y*out_x, group_filters)
                 out[b, g * group_filters : (g + 1) * group_filters] = (
                     result.T.reshape(group_filters, out_y, out_x)
@@ -217,7 +207,7 @@ def conv2d(
             padded[g * group_depth : (g + 1) * group_depth], kernel_y, kernel_x, stride
         )
         result = zskip.partitioned_gemm(
-            cols, transposed[g], mode, cutoff
+            cols, transposed[g]
         )  # (out_y*out_x, group_filters)
         out[g * group_filters : (g + 1) * group_filters] = result.T.reshape(
             group_filters, out_y, out_x
@@ -291,9 +281,9 @@ def _pool2d_windows(
 ) -> np.ndarray:
     """Contiguous ``(..., out_y, out_x, kernel*kernel)`` window array.
 
-    The trailing axis holds each window flattened in ``(y, x)`` order —
-    the same contiguous buffer the per-pixel loop reduced — so reductions
-    over it are bit-identical to the loop's per-window reductions.
+    The trailing axis holds each window flattened in ``(y, x)`` order as
+    one contiguous buffer, so a reduction over it sums every window in
+    the same order whatever the batch or the window's position.
     """
     lead = padded.shape[:-2]
     sy, sx = padded.strides[-2:]
@@ -308,71 +298,62 @@ def _pool2d_windows(
     )
 
 
-def _pool2d(
-    activations: np.ndarray,
-    kernel: int,
-    stride: int,
-    pad: int,
-    reducer,
-    window_reducer,
+def _max_pool_taps(
+    padded: np.ndarray, kernel: int, stride: int, out_y: int, out_x: int
 ) -> np.ndarray:
+    """Running ``np.maximum`` over the ``kernel**2`` strided window taps.
+
+    Taps are folded in ``(ky, kx)`` order as ``maximum(out, tap)``: a NaN
+    anywhere in a window propagates, and a tie (``+0.0`` against
+    ``-0.0``) resolves to the later tap.  No window copy is made.
+    """
+    span_y = (out_y - 1) * stride + 1
+    span_x = (out_x - 1) * stride + 1
+    out = padded[..., :span_y:stride, :span_x:stride].copy()
+    for ky in range(kernel):
+        for kx in range(kernel):
+            if ky or kx:
+                tap = padded[..., ky : ky + span_y : stride, kx : kx + span_x : stride]
+                np.maximum(out, tap, out=out)
+    return out
+
+
+def _pool2d(
+    activations: np.ndarray, kernel: int, stride: int, pad: int, reduce_windows
+) -> np.ndarray:
+    """Pool with ``reduce_windows(padded, kernel, stride, out_y, out_x)``.
+
+    Output sizes are floor-mode (:func:`conv_output_size`), so every
+    window lies inside the padded input and stride-tricks views cover
+    all of them at once.
+    """
     in_y, in_x = activations.shape[-2:]
     out_y = conv_output_size(in_y, kernel, stride, pad)
     out_x = conv_output_size(in_x, kernel, stride, pad)
-    padded = pad_input(activations, pad)
-    if (
-        (out_y - 1) * stride + kernel <= padded.shape[-2]
-        and (out_x - 1) * stride + kernel <= padded.shape[-1]
-    ):
-        # No-overhang fast path: one stride-tricks window view and a single
-        # vectorized reduction over the flattened windows.
-        return window_reducer(_pool2d_windows(padded, kernel, stride, out_y, out_x))
-    # Pooling windows may overhang the padded input on the far edge for
-    # some Caffe geometries (ceil-mode); clip window extents instead.
-    if activations.ndim == 4:
-        return np.stack(
-            [
-                _pool2d(image, kernel, stride, pad, reducer, window_reducer)
-                for image in activations
-            ]
-        )
-    depth = activations.shape[0]
-    out = np.empty((depth, out_y, out_x), dtype=activations.dtype)
-    for oy in range(out_y):
-        y0 = oy * stride
-        y1 = min(y0 + kernel, padded.shape[1])
-        for ox in range(out_x):
-            x0 = ox * stride
-            x1 = min(x0 + kernel, padded.shape[2])
-            out[:, oy, ox] = reducer(padded[:, y0:y1, x0:x1])
-    return out
+    return reduce_windows(pad_input(activations, pad), kernel, stride, out_y, out_x)
 
 
 def max_pool2d(
     activations: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> np.ndarray:
     """Max pooling over ``kernel x kernel`` windows (batch axis supported)."""
-    return _pool2d(
-        activations,
-        kernel,
-        stride,
-        pad,
-        lambda w: w.reshape(w.shape[0], -1).max(axis=1),
-        lambda windows: windows.max(axis=-1),
-    )
+    return _pool2d(activations, kernel, stride, pad, _max_pool_taps)
 
 
 def avg_pool2d(
     activations: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> np.ndarray:
-    """Average pooling over ``kernel x kernel`` windows (batch axis supported)."""
+    """Average pooling over ``kernel x kernel`` windows (batch axis supported).
+
+    Unlike a max, a sum depends on its order, so average pooling keeps
+    one reduction per contiguous window buffer.
+    """
     return _pool2d(
         activations,
         kernel,
         stride,
         pad,
-        lambda w: w.reshape(w.shape[0], -1).mean(axis=1),
-        lambda windows: windows.mean(axis=-1),
+        lambda *view: _pool2d_windows(*view).mean(axis=-1),
     )
 
 
@@ -422,20 +403,14 @@ def fully_connected(
     activations: np.ndarray,
     weights: np.ndarray,
     bias: np.ndarray | None = None,
-    sparse_mode: str | None = None,
 ) -> np.ndarray:
     """Fully-connected layer: flatten input, multiply by ``(out, in)`` weights.
 
     A batched ``(batch, ...)`` input (ndim == 4) yields ``(batch, out)``.
     The matrix-vector product runs per image: BLAS GEMV and GEMM kernels
     accumulate in different orders, so a single stacked GEMM would not be
-    bit-identical to the single-image path (see module docstring).  The
-    matvec routes through :func:`repro.nn.sparse.partitioned_matvec` so
-    the ``CNVLUTIN_SPARSE`` path can skip the zero input elements;
-    ``sparse_mode`` overrides the mode per call (never the bytes).
+    bit-identical to the single-image path (see module docstring).
     """
-    mode = zskip.resolve_mode(sparse_mode)
-    cutoff = zskip.resolve_cutoff()
     if activations.ndim == 4:
         batch = activations.shape[0]
         flat = activations.reshape(batch, -1)
@@ -448,9 +423,8 @@ def fully_connected(
             (batch, weights.shape[0]), dtype=np.result_type(activations, weights)
         )
         for b in range(batch):
-            out[b] = zskip.partitioned_matvec(weights, flat[b], mode, cutoff)
-        # Unconditional add: normalizes the sign of exact zeros so dense
-        # and sparse modes stay byte-identical (see repro.nn.sparse).
+            out[b] = zskip.partitioned_matvec(weights, flat[b])
+        # Unconditional add (0.0 when absent), as in conv2d.
         out = out + (bias if bias is not None else 0.0)
         return out
     flat = activations.reshape(-1)
@@ -458,7 +432,7 @@ def fully_connected(
         raise ValueError(
             f"FC weight columns {weights.shape[1]} != flattened input {flat.size}"
         )
-    out = zskip.partitioned_matvec(weights, flat, mode, cutoff)
+    out = zskip.partitioned_matvec(weights, flat)
     out = out + (bias if bias is not None else 0.0)
     return out
 

@@ -17,9 +17,9 @@ Two halves, used together by :mod:`repro.experiments.parallel` and
 
 A third half-sibling, :mod:`repro.reliability.integrity`, defends
 against faults that *don't* crash anything: ABFT checksums over the
-sparse kernels and the ``CNVLUTIN_INTEGRITY`` verification policy, the
-detection side of the serving tier's silent-data-corruption loop
-(detect → quarantine → republish → respawn).
+host forward kernels and the ``CNVLUTIN_INTEGRITY`` verification
+policy, the detection side of the serving tier's silent-data-corruption
+loop (detect → quarantine → republish → respawn).
 """
 
 from repro.reliability.faults import (

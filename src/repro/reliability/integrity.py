@@ -70,12 +70,11 @@ Policy (``CNVLUTIN_INTEGRITY``)
 ``off`` (default), ``always``, or ``sample:p`` with ``p`` in [0, 1].
 Sampling decisions are deterministic (``hash_fraction`` over a
 process-global call counter), so a given process verifies the same
-GEMMs run to run.  Junk values warn and fall back to ``off`` — the same
-never-fail contract as ``CNVLUTIN_SPARSE_CUTOFF`` and
-``CNVLUTIN_ENGINE_CACHE_MB``.  ``CNVLUTIN_INTEGRITY_RECHECK_S`` bounds
-how stale a shard's arena CRC check may be between batches (0 =
-re-verify before every reply; the chaos suite's zero-corrupted-responses
-guarantee runs there).
+GEMMs run to run.  Junk values warn and fall back to ``off`` — the
+same never-fail contract as ``CNVLUTIN_ENGINE_CACHE_MB``.
+``CNVLUTIN_INTEGRITY_RECHECK_S`` bounds how stale a shard's arena CRC
+check may be between batches (0 = re-verify before every reply; the
+chaos suite's zero-corrupted-responses guarantee runs there).
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class IntegrityError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# policy resolution (the CNVLUTIN_SPARSE_CUTOFF warn+default contract)
+# policy resolution (the CNVLUTIN_ENGINE_CACHE_MB warn+default contract)
 # ----------------------------------------------------------------------
 _policy_memo: dict[str, tuple[str, float]] = {}
 
@@ -261,9 +260,7 @@ def gemm_tolerance(cols: np.ndarray, wt: np.ndarray) -> np.ndarray:
     return scale * (np.abs(cols) @ abs_rowsum)
 
 
-def verify_gemm(
-    cols: np.ndarray, wt: np.ndarray, product: np.ndarray, kind: str = "conv"
-) -> None:
+def verify_gemm(cols: np.ndarray, wt: np.ndarray, product: np.ndarray) -> None:
     """Check ``product @ 1 == cols @ (wt @ 1)`` within tolerance.
 
     Read-only; raises :class:`IntegrityError` on the first violating
@@ -281,7 +278,7 @@ def verify_gemm(
     obs.counter_add("integrity.detected.abft")
     row = int(np.argmin(ok))
     raise IntegrityError(
-        f"ABFT {kind} checksum mismatch at output row {row}: "
+        f"ABFT conv checksum mismatch at output row {row}: "
         f"row sum {got[row]!r} != checksum {expected[row]!r} "
         f"(tolerance {tolerance[row]:.3e})"
     )

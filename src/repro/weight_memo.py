@@ -1,7 +1,7 @@
 """Weight memo: quantities derived from a weight array, computed once.
 
 Several consumers derive fixed quantities from a weight array and reuse
-them on every call: the sparse kernels' per-group transposes
+them on every call: the host conv kernel's per-group transposes
 (:func:`repro.nn.sparse.transposed_weights`), the ABFT checksum vectors
 (:mod:`repro.reliability.integrity`) and the weight-side state of the
 weight-sparse cycle models (:mod:`repro.backends`: SCNN's per-group

@@ -1,57 +1,39 @@
-"""Reusable differential harness: dense vs sparse bit-identity.
+"""Reusable differential harness: host kernels vs literal references.
 
-The contract under test is the strongest one the repo makes: the
-``CNVLUTIN_SPARSE`` compute path (``never`` / ``always`` / ``auto``)
-changes wall-clock time but **never a single output byte** — at the
-kernel level (``conv2d`` / ``fully_connected``), through a whole
-``run_forward`` pass, and for every byte a serving response serializes.
+The contract under test: ``conv2d`` and ``fully_connected`` produce
+**the same bytes** as the literal arithmetic they stand for, and a
+batched call produces the same bytes as one call per image.
+
+* conv: per group, ``unfold(pad(x)) @ w_g.reshape(N_g, -1).T``, then the
+  bias (``0.0`` when absent) added to the whole output;
+* FC: ``W @ x + b``;
+* max pooling: a per-window fold over the taps in ``(ky, kx)`` order in
+  which a NaN propagates and a tie goes to the later tap.
+
+The references are built from numpy primitives only (``np.pad``,
+``sliding_window_view``, ``@``), not from the helpers of
+:mod:`repro.nn.layers`, so a bug in ``pad_input`` or ``im2col`` shows up
+as a byte difference.  The same patch matrix in the same layout gives the
+same BLAS call, so equality is exact, not approximate.
 
 This module is a library, not a test file (pytest does not collect it):
-both the hypothesis property suites and the fixed regression cases in
-``tests/test_sparse_kernels.py`` drive these helpers, and new suites can
-import them to get the same byte-level comparison semantics.  The grid
-spans dtype x stride x pad x groups x batch x pruning threshold.
+``tests/test_sparse_kernels.py`` and ``tests/test_integrity.py`` drive
+these helpers.  The grid spans dtype x stride x pad x groups x batch x
+pruning threshold.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn import sparse as zskip
+from repro.nn import layers
 from repro.nn.inference import run_forward
-
-#: The modes every assertion compares; identity must hold pairwise.
-MODES = ("never", "always", "auto")
-
-
-@contextlib.contextmanager
-def sparse_env(mode: str | None = None, cutoff: float | None = None):
-    """Temporarily pin ``CNVLUTIN_SPARSE`` / ``CNVLUTIN_SPARSE_CUTOFF``."""
-    saved = {
-        name: os.environ.get(name)
-        for name in (zskip.MODE_ENV, zskip.CUTOFF_ENV)
-    }
-    try:
-        if mode is None:
-            os.environ.pop(zskip.MODE_ENV, None)
-        else:
-            os.environ[zskip.MODE_ENV] = mode
-        if cutoff is None:
-            os.environ.pop(zskip.CUTOFF_ENV, None)
-        else:
-            os.environ[zskip.CUTOFF_ENV] = repr(cutoff)
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def prune(activations: np.ndarray, threshold: float) -> np.ndarray:
@@ -62,44 +44,110 @@ def prune(activations: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
-def _describe(case: str, outputs: dict[str, np.ndarray]) -> str:
-    reference = outputs["never"]
-    lines = [case]
-    for mode, arr in outputs.items():
-        if mode == "never":
-            continue
-        if arr.shape != reference.shape or arr.dtype != reference.dtype:
-            lines.append(
-                f"  {mode}: shape/dtype {arr.shape}/{arr.dtype} != "
-                f"{reference.shape}/{reference.dtype}"
-            )
-        elif arr.tobytes() != reference.tobytes():
-            bad = np.flatnonzero(
-                arr.view(np.uint8) != reference.view(np.uint8)
-            )
-            lines.append(f"  {mode}: first differing byte at {bad[0]}")
-    return "\n".join(lines)
+# ----------------------------------------------------------------------
+# literal references
+# ----------------------------------------------------------------------
+def _pad_spatial(activations: np.ndarray, pad: int) -> np.ndarray:
+    width = [(0, 0)] * (activations.ndim - 2) + [(pad, pad), (pad, pad)]
+    return np.pad(activations, width)
 
 
-def assert_modes_identical(compute, case: str = "") -> np.ndarray:
-    """Run ``compute(mode)`` for every mode; assert byte-identical output.
-
-    ``compute`` maps a mode string to an ndarray.  Returns the reference
-    (``never``-mode) array so callers can chain further checks.
-    """
-    outputs = {mode: np.ascontiguousarray(compute(mode)) for mode in MODES}
-    reference = outputs["never"]
-    identical = all(
-        arr.shape == reference.shape
-        and arr.dtype == reference.dtype
-        and arr.tobytes() == reference.tobytes()
-        for arr in outputs.values()
+def reference_conv2d(
+    activations: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray | None = None,
+    stride: int = 1,
+    pad: int = 0,
+    groups: int = 1,
+) -> np.ndarray:
+    """Per-group ``unfold(pad(x)) @ w_g.T`` plus bias, image by image."""
+    if activations.ndim == 4:
+        return np.stack(
+            [
+                reference_conv2d(image, weights, bias, stride, pad, groups)
+                for image in activations
+            ]
+        )
+    num_filters, group_depth, kernel_y, kernel_x = weights.shape
+    group_filters = num_filters // groups
+    windows = sliding_window_view(
+        _pad_spatial(activations, pad), (kernel_y, kernel_x), axis=(1, 2)
+    )[:, ::stride, ::stride]  # (depth, out_y, out_x, kernel_y, kernel_x)
+    out_y, out_x = windows.shape[1:3]
+    out = np.empty(
+        (num_filters, out_y, out_x), dtype=np.result_type(activations, weights)
     )
-    assert identical, _describe(case or "dense/sparse mismatch", outputs)
-    return reference
+    for g in range(groups):
+        cols = (
+            windows[g * group_depth : (g + 1) * group_depth]
+            .transpose(1, 2, 0, 3, 4)
+            .reshape(out_y * out_x, -1)
+        )
+        filters = slice(g * group_filters, (g + 1) * group_filters)
+        wt = weights[filters].reshape(group_filters, -1).T.copy()
+        out[filters] = (cols @ wt).T.reshape(group_filters, out_y, out_x)
+    out += 0.0 if bias is None else np.asarray(bias).reshape(num_filters, 1, 1)
+    return out
 
 
-def assert_conv_identical(
+def reference_fc(
+    activations: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray | None = None,
+) -> np.ndarray:
+    """``W @ x + b`` for one image, stacked for a batch."""
+    if activations.ndim == 4:
+        return np.stack(
+            [reference_fc(image, weights, bias) for image in activations]
+        )
+    return weights @ activations.reshape(-1) + (0.0 if bias is None else bias)
+
+
+def _window_max(values) -> float:
+    best = values[0]
+    for value in values[1:]:
+        if not math.isnan(best) and (math.isnan(value) or value >= best):
+            best = value
+    return best
+
+
+def reference_max_pool2d(
+    activations: np.ndarray, kernel: int, stride: int, pad: int = 0
+) -> np.ndarray:
+    """Brute-force per-window max (see the module docstring's semantics)."""
+    padded = _pad_spatial(activations, pad)
+    out_y = (padded.shape[-2] - kernel) // stride + 1
+    out_x = (padded.shape[-1] - kernel) // stride + 1
+    out = np.empty((*padded.shape[:-2], out_y, out_x), dtype=activations.dtype)
+    for index in np.ndindex(*padded.shape[:-2], out_y, out_x):
+        *lead, oy, ox = index
+        window = padded[
+            (*lead, slice(oy * stride, oy * stride + kernel),
+             slice(ox * stride, ox * stride + kernel))
+        ]
+        out[index] = _window_max([float(v) for v in window.reshape(-1)])
+    return out
+
+
+# ----------------------------------------------------------------------
+# byte-level assertions
+# ----------------------------------------------------------------------
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray, case: str) -> None:
+    """Shape, dtype and every byte equal; names the first differing byte."""
+    actual = np.ascontiguousarray(actual)
+    expected = np.ascontiguousarray(expected)
+    assert (actual.shape, actual.dtype) == (expected.shape, expected.dtype), (
+        f"{case}: shape/dtype {actual.shape}/{actual.dtype} != "
+        f"{expected.shape}/{expected.dtype}"
+    )
+    if actual.tobytes() != expected.tobytes():
+        bad = np.flatnonzero(
+            actual.reshape(-1).view(np.uint8) != expected.reshape(-1).view(np.uint8)
+        )
+        raise AssertionError(f"{case}: first differing byte at {bad[0]}")
+
+
+def assert_conv_matches_reference(
     activations: np.ndarray,
     weights: np.ndarray,
     bias: np.ndarray | None = None,
@@ -108,32 +156,58 @@ def assert_conv_identical(
     groups: int = 1,
     case: str = "",
 ) -> np.ndarray:
-    from repro.nn.layers import conv2d
-
-    return assert_modes_identical(
-        lambda mode: conv2d(
-            activations, weights, bias,
-            stride=stride, pad=pad, groups=groups, sparse_mode=mode,
-        ),
-        case or f"conv stride={stride} pad={pad} groups={groups} "
-        f"shape={activations.shape} dtype={activations.dtype}",
+    """``conv2d`` ≡ :func:`reference_conv2d`, and batched ≡ per-image."""
+    case = case or (
+        f"conv stride={stride} pad={pad} groups={groups} "
+        f"shape={activations.shape} dtype={activations.dtype}"
     )
+    out = layers.conv2d(
+        activations, weights, bias, stride=stride, pad=pad, groups=groups
+    )
+    assert_same_bytes(
+        out,
+        reference_conv2d(activations, weights, bias, stride, pad, groups),
+        case,
+    )
+    if activations.ndim == 4:
+        per_image = [
+            layers.conv2d(image, weights, bias, stride=stride, pad=pad, groups=groups)
+            for image in activations
+        ]
+        assert_same_bytes(out, np.stack(per_image), f"{case} batched")
+    return out
 
 
-def assert_fc_identical(
+def assert_fc_matches_reference(
     activations: np.ndarray,
     weights: np.ndarray,
     bias: np.ndarray | None = None,
     case: str = "",
 ) -> np.ndarray:
-    from repro.nn.layers import fully_connected
+    """``fully_connected`` ≡ ``W @ x + b``, and batched ≡ per-image."""
+    case = case or f"fc shape={activations.shape} dtype={activations.dtype}"
+    out = layers.fully_connected(activations, weights, bias)
+    assert_same_bytes(out, reference_fc(activations, weights, bias), case)
+    if activations.ndim == 4:
+        per_image = [
+            layers.fully_connected(image, weights, bias) for image in activations
+        ]
+        assert_same_bytes(out, np.stack(per_image), f"{case} batched")
+    return out
 
-    return assert_modes_identical(
-        lambda mode: fully_connected(
-            activations, weights, bias, sparse_mode=mode
-        ),
-        case or f"fc shape={activations.shape} dtype={activations.dtype}",
-    )
+
+# ----------------------------------------------------------------------
+# whole-network differential
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def reference_kernels():
+    """Route every ``conv2d``/``fully_connected`` call through the references."""
+    saved = layers.conv2d, layers.fully_connected
+    layers.conv2d, layers.fully_connected = reference_conv2d, reference_fc
+    try:
+        yield
+    finally:
+        layers.conv2d, layers.fully_connected = saved
 
 
 def forward_fingerprint(
@@ -151,26 +225,23 @@ def forward_fingerprint(
     return fingerprint
 
 
-def assert_forward_identical(network, store, image, thresholds=None) -> None:
-    """Whole-network differential: every layer byte-identical across modes."""
-    fingerprints = {}
-    for mode in MODES:
-        with sparse_env(mode):
-            fingerprints[mode] = forward_fingerprint(
-                network, store, image, thresholds
-            )
-    reference = fingerprints["never"]
-    for mode, fingerprint in fingerprints.items():
-        assert fingerprint.keys() == reference.keys(), mode
-        differing = [
-            name for name, blob in fingerprint.items()
-            if blob != reference[name]
-        ]
-        assert not differing, (
-            f"{network.name}: mode {mode} differs from never at {differing}"
-        )
+def assert_forward_matches_reference(
+    network, store, image, thresholds=None
+) -> None:
+    """Every layer of a forward pass byte-identical to the reference pass."""
+    actual = forward_fingerprint(network, store, image, thresholds)
+    with reference_kernels():
+        expected = forward_fingerprint(network, store, image, thresholds)
+    assert actual.keys() == expected.keys()
+    differing = [name for name, blob in actual.items() if blob != expected[name]]
+    assert not differing, (
+        f"{network.name}: kernels differ from reference at {differing}"
+    )
 
 
+# ----------------------------------------------------------------------
+# the grid
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GridCase:
     """One coordinate of the differential grid."""
@@ -197,12 +268,12 @@ def grid_cases(
 
 
 def run_conv_grid(rng: np.random.Generator, cases=None) -> int:
-    """Assert conv bit-identity across the grid; returns cases checked.
+    """Assert conv ≡ reference across the grid; returns cases checked.
 
     Inputs are positive-mean random activations pruned at the case's
-    threshold (higher thresholds drive up the dead-column fraction, so
-    the grid crosses the ``auto`` cutoff in both directions), with
-    channel count chosen to exercise ``depth % 16 != 0``.
+    threshold (higher thresholds leave whole patch-matrix columns and
+    windows at zero), with a channel count that exercises
+    ``depth % 16 != 0``.
     """
     checked = 0
     for case in cases if cases is not None else grid_cases():
@@ -220,7 +291,7 @@ def run_conv_grid(rng: np.random.Generator, cases=None) -> int:
             size=(4, depth // case.groups, kernel, kernel)
         ).astype(case.dtype)
         bias = rng.normal(size=4).astype(case.dtype)
-        assert_conv_identical(
+        assert_conv_matches_reference(
             activations, weights, bias,
             stride=case.stride, pad=case.pad, groups=case.groups,
             case=str(case),
@@ -230,7 +301,7 @@ def run_conv_grid(rng: np.random.Generator, cases=None) -> int:
 
 
 def run_fc_grid(rng: np.random.Generator, cases=None) -> int:
-    """Assert FC bit-identity across the (dtype x batch x threshold) grid."""
+    """Assert FC ≡ reference across the (dtype x batch x threshold) grid."""
     checked = 0
     seen = set()
     for case in cases if cases is not None else grid_cases():
@@ -247,6 +318,6 @@ def run_fc_grid(rng: np.random.Generator, cases=None) -> int:
             activations = activations[0]
         weights = rng.normal(size=(9, 5 * 4 * 4)).astype(case.dtype)
         bias = rng.normal(size=9).astype(case.dtype)
-        assert_fc_identical(activations, weights, bias, case=str(case))
+        assert_fc_matches_reference(activations, weights, bias, case=str(case))
         checked += 1
     return checked

@@ -2,11 +2,10 @@
 
 Four suites:
 
-* **Policy/env** — one shared checker drives all four warn-and-default
+* **Policy/env** — one shared checker drives all three warn-and-default
   environment validators (``CNVLUTIN_ENGINE_CACHE_MB``,
-  ``CNVLUTIN_SPARSE_CUTOFF``, ``CNVLUTIN_INTEGRITY``,
-  ``CNVLUTIN_INTEGRITY_RECHECK_S``): junk warns and falls back, valid
-  values parse silently, absence is silent.
+  ``CNVLUTIN_INTEGRITY``, ``CNVLUTIN_INTEGRITY_RECHECK_S``): junk warns
+  and falls back, valid values parse silently, absence is silent.
 * **ABFT** — the GEMM/matvec checksum invariants: clean products pass,
   perturbations above the exported detectability thresholds raise
   :class:`IntegrityError`, verification never mutates the product, and
@@ -31,7 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from differential import grid_cases, prune, sparse_env
+from differential import grid_cases, prune
 from repro.nn import sparse as zskip
 from repro.nn.engine import DEFAULT_CACHE_MB, _cache_budget_bytes
 from repro.nn.layers import conv2d, fully_connected
@@ -82,12 +81,6 @@ VALIDATOR_CASES = [
         "banana", int(DEFAULT_CACHE_MB * 1024 * 1024),
         "64", 64 * 1024 * 1024,
         id="engine-cache-mb",
-    ),
-    pytest.param(
-        zskip.CUTOFF_ENV, zskip.resolve_cutoff,
-        "1.5", zskip.DEFAULT_CUTOFF,
-        "0.25", 0.25,
-        id="sparse-cutoff",
     ),
     pytest.param(
         INTEGRITY_ENV, resolve_policy,
@@ -261,7 +254,7 @@ class TestVerifyMatvec:
 
 class TestKernelByteIdentity:
     """Verified runs are byte-identical to unverified runs, and the
-    dense/sparse bit-identity contract survives verification."""
+    kernels still match their literal references under verification."""
 
     def _conv_bytes(self, rng):
         activations = np.maximum(
@@ -289,7 +282,7 @@ class TestKernelByteIdentity:
         assert blobs["always"] == blobs["off"]
         assert blobs["sample:0.5"] == blobs["off"]
 
-    def test_sparse_modes_identical_under_verification(self, monkeypatch):
+    def test_kernels_match_reference_under_verification(self, monkeypatch):
         from differential import run_conv_grid
 
         monkeypatch.setenv(INTEGRITY_ENV, "always")
@@ -307,12 +300,11 @@ class TestMemActivationsFault:
         monkeypatch.setenv(INTEGRITY_ENV, "always")
         monkeypatch.setenv("CNVLUTIN_FAULTS", "mem:activations=corrupt@1")
         cols, wt = make_gemm(seed=7, threshold=0.3)
-        with sparse_env("always"):
-            gemm = lambda: zskip.partitioned_gemm(cols, wt, "always", 0.05)
-            first = gemm()  # trial 0: clean
-            with pytest.raises(IntegrityError):
-                gemm()  # trial 1: corrupted epilogue
-            again = gemm()  # trial 2: clean again
+        gemm = lambda: zskip.partitioned_gemm(cols, wt)
+        first = gemm()  # trial 0: clean
+        with pytest.raises(IntegrityError):
+            gemm()  # trial 1: corrupted epilogue
+        again = gemm()  # trial 2: clean again
         assert np.array_equal(first, again)
 
 

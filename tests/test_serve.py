@@ -25,7 +25,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from differential import sparse_env
 from repro import obs
 from repro.reliability import FaultInjector, RetryPolicy
 from repro.reliability.faults import parse_faults
@@ -132,21 +131,15 @@ class TestDifferential:
         assert max(sizes) == 7
 
 
-class TestSparseDifferential:
-    """CNVLUTIN_SPARSE changes wall time, never a response byte."""
+class TestThresholdedDifferential:
+    """Pruned activations (whole zero windows and channels) change no byte."""
 
     N = 24
 
-    def _canon_for_mode(self, repo, requests, mode) -> dict[str, bytes]:
-        with sparse_env(mode):
-            result = drive(repo, det_config(max_batch=5), requests)
-        assert result.by_status() == {"ok": self.N}
-        return canon(result)
-
-    def test_sparse_modes_preserve_response_bytes(self, repo):
-        """A mixed-network batch through repro.serve answers identically
-        under ``always``, ``never`` and ``auto`` — including thresholded
-        requests whose pruned activations actually take the sparse path."""
+    def test_thresholded_requests_match_direct(self, repo):
+        """A mixed-network batch with thresholded requests, whose pruned
+        activations leave zero columns in the conv patch matrices and
+        zero FC inputs, answers byte-identically to direct inference."""
         requests = build_requests(
             self.N - 6, networks=list(SERVE_NETWORKS), seed=21
         ) + build_requests(
@@ -157,9 +150,12 @@ class TestSparseDifferential:
             dataclasses.replace(request, id=f"s{index:06d}")
             for index, request in enumerate(requests)
         ]
-        reference = self._canon_for_mode(repo, requests, "never")
-        for mode in ("always", "auto"):
-            assert self._canon_for_mode(repo, requests, mode) == reference
+        result = drive(repo, det_config(max_batch=5), requests)
+        assert result.by_status() == {"ok": self.N}
+        assert canon(result) == {
+            request.id: canonical_response_bytes(direct_response(repo, request))
+            for request in requests
+        }
 
 
 class TestOverload:

@@ -1,36 +1,30 @@
-"""Property + regression suite for the sparse compute path (repro.nn.sparse).
+"""Property + regression suite for the host forward kernels.
 
 Everything here drives the reusable differential harness in
-``tests/differential.py``: adversarial zero patterns (all-zero feature
+``tests/differential.py``: ``conv2d``/``fully_connected`` against their
+literal BLAS references over adversarial zero patterns (all-zero feature
 maps, a single non-zero at the last brick offset, channel counts not
-divisible by the brick size), grouped and non-square geometries, the
-full dtype x stride x pad x groups x batch x threshold grid, the
-``auto``-mode cutoff boundary, and the ``sparse:gemm`` fault fallback.
+divisible by the brick size), grouped and non-square geometries and the
+full dtype x stride x pad x groups x batch x threshold grid, plus
+``max_pool2d`` against a brute-force per-window max and ``pad_input``
+against ``np.pad``.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from differential import (
-    assert_conv_identical,
-    assert_fc_identical,
-    assert_forward_identical,
+    assert_conv_matches_reference,
+    assert_fc_matches_reference,
+    assert_forward_matches_reference,
+    assert_same_bytes,
+    reference_max_pool2d,
     run_conv_grid,
     run_fc_grid,
-    sparse_env,
 )
-from repro import obs
 from repro.nn import sparse as zskip
-from repro.nn.layers import conv2d, fully_connected
-
-
-@pytest.fixture(autouse=True)
-def _default_mode_env():
-    """Pin the mode env vars to their defaults inside every test."""
-    with sparse_env(None, None):
-        yield
+from repro.nn.layers import max_pool2d, pad_input
 
 
 def sparse_conv_input(
@@ -72,7 +66,9 @@ class TestAdversarialPatterns:
         rng = np.random.default_rng(seed)
         a = sparse_conv_input(rng, (depth, in_y, in_x), zero_fraction)
         w = rng.normal(size=(filters, depth, kernel, kernel))
-        assert_conv_identical(a, w, rng.normal(size=filters), stride=stride, pad=pad)
+        assert_conv_matches_reference(
+            a, w, rng.normal(size=filters), stride=stride, pad=pad
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
@@ -83,12 +79,12 @@ class TestAdversarialPatterns:
         a = sparse_conv_input(rng, (depth, 6, 6), 0.3)
         a[:dead_channels] = 0.0
         w = rng.normal(size=(3, depth, 3, 3))
-        assert_conv_identical(a, w, rng.normal(size=3), pad=1)
+        assert_conv_matches_reference(a, w, rng.normal(size=3), pad=1)
 
     def test_whole_input_zero(self, rng):
         a = np.zeros((5, 6, 6))
         w = rng.normal(size=(4, 5, 3, 3))
-        out = assert_conv_identical(a, w, rng.normal(size=4), pad=1)
+        out = assert_conv_matches_reference(a, w, rng.normal(size=4), pad=1)
         assert np.all(out == np.asarray(out[:, :1, :1]))  # bias only
 
     def test_single_nonzero_at_brick_offset_15(self, rng):
@@ -97,9 +93,8 @@ class TestAdversarialPatterns:
         a = np.zeros((depth, 5, 5))
         a[15, 2, 3] = 1.5
         w = rng.normal(size=(4, depth, 3, 3))
-        out = assert_conv_identical(a, w, None, pad=1)
-        reference = conv2d(a, w, None, pad=1, sparse_mode="never")
-        assert np.array_equal(out, reference)
+        out = assert_conv_matches_reference(a, w, None, pad=1)
+        assert np.count_nonzero(out) > 0  # the lone neuron reaches the output
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([7, 15, 17, 18, 33]), st.integers(0, 2**32 - 1))
@@ -107,7 +102,7 @@ class TestAdversarialPatterns:
         rng = np.random.default_rng(seed)
         a = sparse_conv_input(rng, (depth, 6, 6), 0.6)
         w = rng.normal(size=(3, depth, 3, 3))
-        assert_conv_identical(a, w, rng.normal(size=3), stride=2, pad=1)
+        assert_conv_matches_reference(a, w, rng.normal(size=3), stride=2, pad=1)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
@@ -117,7 +112,7 @@ class TestAdversarialPatterns:
         a = sparse_conv_input(rng, (depth, 7, 7), 0.6)
         a[1] = 0.0  # one dead channel inside group 0
         w = rng.normal(size=(filters, depth // groups, 3, 3))
-        assert_conv_identical(
+        assert_conv_matches_reference(
             a, w, rng.normal(size=filters), stride=2, pad=1, groups=groups
         )
 
@@ -128,7 +123,7 @@ class TestAdversarialPatterns:
         rng = np.random.default_rng(seed)
         a = sparse_conv_input(rng, (6, 9, 5), 0.6)
         w = rng.normal(size=(3, 6, 1, 3))  # Fy != Fx
-        assert_conv_identical(a, w, rng.normal(size=3), stride=2, pad=1)
+        assert_conv_matches_reference(a, w, rng.normal(size=3), stride=2, pad=1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 120), st.integers(0, 2**32 - 1))
@@ -138,82 +133,14 @@ class TestAdversarialPatterns:
         idx = rng.choice(120, size=min(live, 120), replace=False)
         x[idx] = rng.normal(size=idx.size)
         w = rng.normal(size=(7, 120))
-        assert_fc_identical(x.reshape(1, 5, 24)[0].reshape(5, 4, 6), w[:, :120])
+        assert_fc_matches_reference(x.reshape(1, 5, 24)[0].reshape(5, 4, 6), w[:, :120])
 
     def test_fc_all_zero_input(self, rng):
         x = np.zeros((3, 4, 4))
         w = rng.normal(size=(6, 48))
         b = rng.normal(size=6)
-        out = assert_fc_identical(x, w, b)
+        out = assert_fc_matches_reference(x, w, b)
         assert np.array_equal(out, b)
-
-
-class TestAutoCutoffBoundary:
-    """``auto`` picks each path on either side of the density cutoff."""
-
-    def _dead_fraction_case(self, rng, dead_cols: int):
-        # K = 4 channels x 1x1 kernel -> each dead channel is one dead
-        # column of the patch matrix: dead_fraction = dead_cols / 4.
-        a = np.maximum(rng.normal(0.5, 1.0, size=(4, 5, 5)), 0.1)
-        a[:dead_cols] = 0.0
-        w = rng.normal(size=(3, 4, 1, 1))
-        return a, w
-
-    @pytest.mark.parametrize(
-        "dead_cols,expected_path", [(1, "dense"), (3, "sparse")]
-    )
-    def test_auto_picks_path_around_cutoff(self, rng, dead_cols, expected_path):
-        a, w = self._dead_fraction_case(rng, dead_cols)
-        with sparse_env("auto", cutoff=0.5):
-            zskip.pop_records()
-            conv2d(a, w, None)
-            records = zskip.pop_records()
-        assert [r.path for r in records] == [expected_path]
-        assert records[0].dead_fraction == pytest.approx(dead_cols / 4)
-
-    def test_exact_cutoff_is_sparse(self, rng):
-        a, w = self._dead_fraction_case(rng, 2)  # dead_fraction == cutoff
-        with sparse_env("auto", cutoff=0.5):
-            zskip.pop_records()
-            conv2d(a, w, None)
-            (record,) = zskip.pop_records()
-        assert record.path == "sparse"
-
-    def test_forced_modes_ignore_cutoff(self, rng):
-        a, w = self._dead_fraction_case(rng, 3)
-        with sparse_env("never", cutoff=0.0):
-            zskip.pop_records()
-            conv2d(a, w, None)
-            (record,) = zskip.pop_records()
-            assert record.path == "dense"
-        with sparse_env("always", cutoff=1.0):
-            zskip.pop_records()
-            conv2d(a, w, None)
-            (record,) = zskip.pop_records()
-            assert record.path == "sparse"
-
-    def test_bad_env_values_fall_back(self):
-        with sparse_env("sometimes", cutoff=None):
-            assert zskip.resolve_mode() == "auto"
-        import os
-
-        # Non-numeric, out-of-range, and non-finite values all warn and
-        # fall back (the CNVLUTIN_ENGINE_CACHE_MB validation pattern) —
-        # a bad environment variable never makes a forward pass raise.
-        for bad in ("not-a-number", "2.5", "-0.1", "nan", "inf"):
-            os.environ[zskip.CUTOFF_ENV] = bad
-            try:
-                with pytest.warns(RuntimeWarning, match=zskip.CUTOFF_ENV):
-                    assert zskip.resolve_cutoff() == zskip.DEFAULT_CUTOFF
-            finally:
-                del os.environ[zskip.CUTOFF_ENV]
-        os.environ[zskip.CUTOFF_ENV] = "0.3"
-        try:
-            assert zskip.resolve_cutoff() == 0.3
-        finally:
-            del os.environ[zskip.CUTOFF_ENV]
-        with pytest.raises(ValueError):
-            zskip.resolve_mode("sometimes")
 
 
 class TestWholeNetworkDifferential:
@@ -227,57 +154,13 @@ class TestWholeNetworkDifferential:
         for name in store.weights:
             store.weights[name] = store.weights[name].astype(np.float32)
             store.biases[name] = store.biases[name].astype(np.float32)
-        assert_forward_identical(
+        assert_forward_matches_reference(
             network, store, image, thresholds={"conv1": 0.2, "conv2": 0.4}
         )
 
 
-class TestFaultFallback:
-    def test_injected_gemm_fault_falls_back_to_dense_bits(self, rng, monkeypatch):
-        a = sparse_conv_input(rng, (6, 6, 6), 0.7)
-        a[0] = 0.0  # guarantee dead columns so the sparse path is taken
-        w = rng.normal(size=(4, 6, 3, 3))
-        b = rng.normal(size=4)
-        reference = conv2d(a, w, b, pad=1, sparse_mode="never")
-
-        obs.reset_metrics()
-        monkeypatch.setenv("CNVLUTIN_FAULTS", "sparse:gemm=raise@*")
-        out = conv2d(a, w, b, pad=1, sparse_mode="always")
-        assert out.tobytes() == reference.tobytes()
-        records = zskip.pop_records()
-        assert any(r.fallback for r in records)
-        counters = obs.get_metrics().snapshot()["counters"]
-        assert counters["engine.sparse.fallbacks"] >= 1
-        assert counters["faults.injected.sparse:gemm"] >= 1
-
-    def test_limited_trials_recover(self, rng, monkeypatch):
-        """Only the first sparse GEMM faults; later ones skip normally."""
-        a = sparse_conv_input(rng, (6, 6, 6), 0.7)
-        a[0] = 0.0
-        w = rng.normal(size=(4, 6, 3, 3))
-        reference = conv2d(a, w, None, pad=1, sparse_mode="never")
-        monkeypatch.setenv("CNVLUTIN_FAULTS", "sparse:gemm=raise@0")
-        zskip.pop_records()
-        first = conv2d(a, w, None, pad=1, sparse_mode="always")
-        second = conv2d(a, w, None, pad=1, sparse_mode="always")
-        records = zskip.pop_records()
-        assert first.tobytes() == second.tobytes() == reference.tobytes()
-        assert records[0].fallback and not records[1].fallback
-        assert records[1].path == "sparse"
-
-
 class TestMetricsAndRecords:
-    def test_macs_accounting(self, rng):
-        a = np.maximum(rng.normal(0.5, 1.0, size=(4, 5, 5)), 0.1)
-        a[:2] = 0.0
-        w = rng.normal(size=(3, 4, 1, 1))
-        with sparse_env("always"):
-            zskip.pop_records()
-            conv2d(a, w, None)
-            (record,) = zskip.pop_records()
-        assert record.macs_total == 25 * 4 * 3
-        assert record.macs_skipped == 25 * 2 * 3
-        assert record.kind == "conv"
+    """The memoised per-group weight transposes the conv GEMM multiplies by."""
 
     def test_transposed_weights_cached_per_array(self, rng):
         w = rng.normal(size=(4, 6, 3, 3))
@@ -296,13 +179,68 @@ class TestMetricsAndRecords:
         assert len(halves) == 2 and halves[1].shape == (6 * 9, 2)
         assert np.array_equal(halves[1], w[2:].reshape(2, -1).T)
 
-    def test_summarize_records_paths(self):
-        make = lambda path: zskip.GemmRecord(
-            kind="conv", path=path, dead_fraction=0.5, dead_rows=0.0,
-            macs_total=100, macs_skipped=50 if path == "sparse" else 0,
+
+pool_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+class TestPoolingAndPadding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),  # kernel
+        st.integers(1, 3),  # stride
+        st.integers(0, 1),  # pad
+        st.booleans(),  # batched
+        st.sampled_from(["float64", "float32"]),
+        st.data(),
+    )
+    def test_max_pool_matches_brute_force(
+        self, kernel, stride, pad, batched, dtype, data
+    ):
+        """Running-maximum fast path ≡ per-window max, byte for byte —
+        including ±0.0 ties, NaN propagation and infinities."""
+        lead = (data.draw(st.integers(1, 2)),) if batched else ()
+        depth = data.draw(st.integers(1, 3))
+        in_y = data.draw(st.integers(max(1, kernel - 2 * pad), 7))
+        in_x = data.draw(st.integers(max(1, kernel - 2 * pad), 7))
+        shape = (*lead, depth, in_y, in_x)
+        values = data.draw(
+            st.lists(pool_values, min_size=int(np.prod(shape)),
+                     max_size=int(np.prod(shape)))
         )
-        assert zskip.summarize_records([])["sparse"] == "none"
-        assert zskip.summarize_records([make("sparse")])["sparse"] == "sparse"
-        mixed = zskip.summarize_records([make("sparse"), make("dense")])
-        assert mixed["sparse"] == "mixed"
-        assert mixed["macs_skipped"] == 50
+        a = np.array(values, dtype=dtype).reshape(shape)
+        assert_same_bytes(
+            max_pool2d(a, kernel, stride, pad),
+            reference_max_pool2d(a, kernel, stride, pad),
+            f"max_pool2d k={kernel} s={stride} p={pad} shape={shape}",
+        )
+
+    def test_max_pool_signed_zero_tie_goes_to_later_tap(self):
+        a = np.array([[[0.0, -0.0], [-0.0, -0.0]]])
+        assert np.signbit(max_pool2d(a, 2, 2)).all()
+        assert not np.signbit(max_pool2d(-a, 2, 2)).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 3),  # pad
+        st.booleans(),  # batched
+        st.sampled_from(["float64", "float32", "int32"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pad_input_matches_np_pad(self, pad, batched, dtype, seed):
+        rng = np.random.default_rng(seed)
+        shape = ((2,) if batched else ()) + (3, 4, 5)
+        a = rng.normal(size=shape)
+        a.reshape(-1)[::3] *= -0.0  # signed zeros survive the copy
+        a = a.astype(dtype)
+        width = [(0, 0)] * (a.ndim - 2) + [(pad, pad), (pad, pad)]
+        assert_same_bytes(pad_input(a, pad), np.pad(a, width), f"pad={pad}")
+
+    def test_pad_input_strided_view(self, rng):
+        """A non-contiguous input pads to a C-contiguous array."""
+        a = rng.normal(size=(4, 6, 6))[::2, :, ::-1]
+        out = pad_input(a, 2)
+        assert out.flags.c_contiguous
+        assert_same_bytes(out, np.pad(a, [(0, 0), (2, 2), (2, 2)]), "view")
