@@ -35,15 +35,27 @@ def prune_weights(weights: np.ndarray, fraction: float) -> np.ndarray:
     the cut prune together (deterministic, order-independent).  The
     result is read-only (see :mod:`repro.weight_memo`).  ``fraction <= 0``
     returns the input itself (no copy).
+
+    The cut equals ``np.quantile(|weights|, fraction)`` bit for bit, at a
+    fraction of its cost: the two order statistics numpy's linear method
+    interpolates between come from one single-``kth`` partition (the
+    upper one is the minimum above the ``kth`` slot, where NaNs sort,
+    so a NaN still poisons the cut and nothing is pruned), and numpy's
+    own ``np.quantile`` then interpolates them at the same fractional
+    index, with its own lerp and dtype rules.
     """
     if fraction <= 0.0:
         return weights
     if not fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
     magnitudes = np.abs(weights)
-    cutoff = np.quantile(magnitudes, fraction)
-    pruned = weights.copy()
-    pruned[magnitudes <= cutoff] = 0.0
+    flat = magnitudes.ravel()
+    index = (flat.size - 1) * fraction
+    lo = int(index)
+    ordered = np.partition(flat, lo)
+    upper = ordered[lo + 1:].min() if lo + 1 < flat.size else ordered[lo]
+    cutoff = np.quantile(np.array([ordered[lo], upper]), index - lo)
+    pruned = np.where(magnitudes <= cutoff, 0, weights)
     pruned.flags.writeable = False
     return pruned
 

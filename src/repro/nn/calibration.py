@@ -272,6 +272,7 @@ def calibrate_network(
                 calib_image,
                 collect_conv_inputs=True,
                 keep_outputs=False,
+                logits=False,
             )
             for name, arr in result.conv_inputs.items():
                 achieved_acc[name] = achieved_acc.get(name, 0.0) + float(
@@ -343,6 +344,7 @@ def measure_zero_fractions(
         thresholds=thresholds,
         collect_conv_inputs=True,
         keep_outputs=False,
+        logits=False,
     )
     for index in range(len(images)):
         image_acc = 0.0

@@ -41,6 +41,7 @@ from repro.nn.inference import (
     _consumer_counts,
     _producer_output,
     _release_consumed,
+    _stop_index,
     apply_layer,
     run_forward,
 )
@@ -304,6 +305,7 @@ class IncrementalForwardEngine:
         thresholds: dict[str, float] | None = None,
         collect_conv_inputs: bool = True,
         keep_outputs: bool = False,
+        logits: bool = True,
     ) -> ForwardResult:
         """Batched forward of an *admitted* external stack (serving batches).
 
@@ -325,6 +327,7 @@ class IncrementalForwardEngine:
                 thresholds=thresholds,
                 collect_conv_inputs=collect_conv_inputs,
                 keep_outputs=keep_outputs,
+                logits=logits,
             )
 
     def run(
@@ -332,6 +335,7 @@ class IncrementalForwardEngine:
         thresholds: dict[str, float] | None = None,
         collect_conv_inputs: bool = True,
         keep_outputs: bool = False,
+        logits: bool = True,
     ) -> ForwardResult:
         """Forward the whole image stack under one threshold configuration.
 
@@ -339,11 +343,13 @@ class IncrementalForwardEngine:
         per-image ``run_forward`` results.  Layers whose threshold
         signature matches a cached entry are replayed from the cache; the
         rest compute (batched) and populate it.  Use :func:`slice_result`
-        for per-image views.
+        for per-image views.  ``logits=False`` stops the walk at the last
+        conv layer, as in ``run_forward``; the layers it computed are
+        cached like any others.
         """
         with self._run_lock:
             return self._run_locked(
-                thresholds, collect_conv_inputs, keep_outputs
+                thresholds, collect_conv_inputs, keep_outputs, logits
             )
 
     def _run_locked(
@@ -351,12 +357,14 @@ class IncrementalForwardEngine:
         thresholds: dict[str, float] | None,
         collect_conv_inputs: bool,
         keep_outputs: bool,
+        logits: bool,
     ) -> ForwardResult:
         network, store = self.network, self.store
+        stop = _stop_index(network, logits, keep_outputs)
         thresholds = thresholds or {}
         outputs: dict[str, np.ndarray] = {}
         conv_inputs: dict[str, np.ndarray] = {}
-        logits: np.ndarray | None = None
+        final_logits: np.ndarray | None = None
         remaining = _consumer_counts(network)
         obs.counter_add("engine.runs")
 
@@ -365,6 +373,12 @@ class IncrementalForwardEngine:
             thresholds=len(thresholds),
         ):
             for idx, layer in enumerate(network.layers):
+                if layer.kind != LayerKind.CONCAT:
+                    src = _producer_output(network, idx, layer, outputs, self.images)
+                    if layer.kind == LayerKind.CONV and collect_conv_inputs:
+                        conv_inputs[layer.name] = src
+                if idx == stop:
+                    break
                 key = (layer.name, self._signature(layer.name, thresholds))
                 cached = self._cache.get(key)
                 if layer.kind == LayerKind.CONCAT:
@@ -372,10 +386,6 @@ class IncrementalForwardEngine:
                     if cached is None:
                         parts = [outputs[s] for s in layer.input_from]
                         src = np.concatenate(parts, axis=1)
-                else:
-                    src = _producer_output(network, idx, layer, outputs, self.images)
-                if layer.kind == LayerKind.CONV and collect_conv_inputs:
-                    conv_inputs[layer.name] = src
                 with obs.span(
                     f"layer:{layer.name}", cat="nn", network=self.label,
                     kind=layer.kind, hit=cached is not None,
@@ -403,7 +413,7 @@ class IncrementalForwardEngine:
                     if obs.tracing_enabled():
                         layer_span.set(shape=str(out.shape))
                 if layer_logits is not None:
-                    logits = layer_logits
+                    final_logits = layer_logits
                 outputs[layer.name] = out
                 if not keep_outputs:
                     _release_consumed(network, idx, outputs, remaining)
@@ -411,5 +421,5 @@ class IncrementalForwardEngine:
         return ForwardResult(
             outputs=outputs if keep_outputs else {},
             conv_inputs=conv_inputs,
-            logits=logits,
+            logits=final_logits,
         )

@@ -65,13 +65,19 @@ class WeightStore:
         return self.shifts.get(layer_name, 0.0)
 
 
-def init_weights(network: Network, rng: np.random.Generator) -> WeightStore:
+def init_weights(
+    network: Network, rng: np.random.Generator, dtype=np.float64
+) -> WeightStore:
     """He-initialized random weights for every conv and FC layer.
 
     The reproduction substitutes pretrained Model-Zoo weights with random
     filters whose scale keeps activation variance roughly constant across
     layers (He et al. scaling); :mod:`repro.nn.calibration` then sets the
     per-layer shifts so the zero-neuron fractions match the paper's Fig. 1.
+
+    Weights are drawn in float64 and cast to ``dtype`` layer by layer, so
+    the store's bytes equal drawing everything and casting afterwards
+    while only one layer's float64 draw is ever alive.
     """
     store = WeightStore()
     for layer in network.layers:
@@ -86,8 +92,10 @@ def init_weights(network: Network, rng: np.random.Generator) -> WeightStore:
         else:
             continue
         scale = np.sqrt(2.0 / fan_in)
-        store.weights[layer.name] = rng.normal(0.0, scale, size=shape)
-        store.biases[layer.name] = np.zeros(layer.num_filters)
+        store.weights[layer.name] = rng.normal(0.0, scale, size=shape).astype(
+            dtype, copy=False
+        )
+        store.biases[layer.name] = np.zeros(layer.num_filters, dtype=dtype)
     return store
 
 
@@ -106,7 +114,8 @@ class ForwardResult:
         full (ungrouped) input; the simulators handle the group split.
     logits:
         Output of the last FC layer (before softmax), if any — ``(classes,)``
-        per image, ``(batch, classes)`` for a batched pass.
+        per image, ``(batch, classes)`` for a batched pass.  ``None`` when
+        the pass stopped before the classifier (``logits=False``).
     """
 
     outputs: dict[str, np.ndarray]
@@ -222,6 +231,7 @@ def run_forward(
     keep_outputs: bool = True,
     shift_fn=None,
     formats: dict[str, FixedPointFormat] | None = None,
+    logits: bool = True,
 ) -> ForwardResult:
     """Run one image — or a stack of images — through the network.
 
@@ -256,7 +266,13 @@ def run_forward(
         layers' outputs — the variable-precision value property the
         paper's conclusion points at (Judd et al., "Stripes"); used by
         :mod:`repro.extensions.precision`.
+    logits:
+        If false, the pass stops at the last conv layer in
+        ``network.layers`` order: every conv input is recorded, nothing
+        from that layer on is computed, and ``ForwardResult.logits`` is
+        ``None``.  Requires ``keep_outputs=False``.
     """
+    stop = _stop_index(network, logits, keep_outputs)
     image = np.asarray(image)
     if image.shape != network.input_shape and not (
         image.ndim == 4 and image.shape[1:] == network.input_shape
@@ -277,29 +293,32 @@ def run_forward(
 
     outputs: dict[str, np.ndarray] = {}
     conv_inputs: dict[str, np.ndarray] = {}
-    logits: np.ndarray | None = None
-    consumers = _consumer_counts(network)
-    remaining = dict(consumers)
+    final_logits: np.ndarray | None = None
+    remaining = _consumer_counts(network)
 
     if not np.issubdtype(image.dtype, np.floating):
         image = image.astype(np.float64)
     image = maybe_quantize(image)
 
     for idx, layer in enumerate(network.layers):
+        src = None
+        if layer.kind != LayerKind.CONCAT:
+            src = _producer_output(network, idx, layer, outputs, image)
+            if layer.kind == LayerKind.CONV and collect_conv_inputs:
+                conv_inputs[layer.name] = src
+        if idx == stop:
+            break
         with obs.span(
             f"layer:{layer.name}", cat="nn", network=network.name,
             kind=layer.kind,
         ) as layer_span:
-            if layer.kind == LayerKind.CONCAT:
-                parts = [outputs[src] for src in layer.input_from]
+            if src is None:
+                parts = [outputs[name] for name in layer.input_from]
                 out = np.concatenate(parts, axis=parts[0].ndim - 3)
             else:
-                src = _producer_output(network, idx, layer, outputs, image)
-                if layer.kind == LayerKind.CONV and collect_conv_inputs:
-                    conv_inputs[layer.name] = src
                 out, layer_logits = apply_layer(layer, src, store, thresholds, shift_fn)
                 if layer_logits is not None:
-                    logits = layer_logits
+                    final_logits = layer_logits
 
             out = maybe_quantize(out, layer.name)
             outputs[layer.name] = out
@@ -312,7 +331,29 @@ def run_forward(
     return ForwardResult(
         outputs=outputs if keep_outputs else {},
         conv_inputs=conv_inputs,
-        logits=logits,
+        logits=final_logits,
+    )
+
+
+def _stop_index(network: Network, logits: bool, keep_outputs: bool) -> int | None:
+    """The layer index at which a forward walk stops, or ``None`` (walk all).
+
+    A caller that reads no logits needs only the conv inputs.  Layers are
+    in topological order, so once the input of the last conv layer is
+    recorded every conv input is, and nothing from that layer on can
+    change them: the walk records that input and stops there.  Both
+    forward loops (:func:`run_forward` and the incremental engine) apply
+    this one rule.  Partial outputs would be misleading, so ``logits=False``
+    rejects ``keep_outputs=True``.
+    """
+    if logits:
+        return None
+    if keep_outputs:
+        raise ValueError("logits=False stops the walk early; pass keep_outputs=False")
+    return max(
+        (idx for idx, layer in enumerate(network.layers)
+         if layer.kind == LayerKind.CONV),
+        default=0,
     )
 
 

@@ -192,6 +192,10 @@ def _needs_conv_inputs(requests: list[ServeRequest]) -> bool:
     return any(req.kind in ("zero_fraction", "timing") for req in requests)
 
 
+def _needs_logits(requests: list[ServeRequest]) -> bool:
+    return any(req.kind == "classify" for req in requests)
+
+
 def _probe_payload(
     repo: ModelRepository,
     request: ServeRequest,
@@ -218,7 +222,8 @@ def execute_batch(
     resident stack, replaying cached layer prefixes when the threshold
     signature has been seen before.  Both paths are bit-identical to
     running each request alone (the PR-2 batch-axis guarantee, pinned by
-    the differential tests).
+    the differential tests).  A batch with no ``classify`` request reads
+    only conv inputs, so its forward stops at the last conv layer.
     """
     if not requests:
         return []
@@ -242,6 +247,7 @@ def execute_batch(
             stack,
             thresholds=thresholds,
             collect_conv_inputs=_needs_conv_inputs([req for _, req in seeded]),
+            logits=_needs_logits([req for _, req in seeded]),
         )
         for index, (pos, req) in enumerate(seeded):
             logits = None if result.logits is None else result.logits[index]
@@ -258,6 +264,7 @@ def execute_batch(
             thresholds=thresholds,
             collect_conv_inputs=_needs_conv_inputs([req for _, req in probes]),
             keep_outputs=False,
+            logits=_needs_logits([req for _, req in probes]),
         )
         for pos, req in probes:
             sliced = slice_result(result, req.image_index)
@@ -275,7 +282,9 @@ def direct_response(repo: ModelRepository, request: ServeRequest) -> ServeRespon
     Probe requests forward the named resident image directly — no
     engine, no cache, no memoized timing — so the differential tests
     compare the full sharded/batched/cached pipeline against the
-    simplest possible computation of the same answer.
+    simplest possible computation of the same answer.  It always walks
+    the whole network: a truncated walk here would share the early-stop
+    rule with the path it is meant to check.
     """
     entry = repo.entry(request.network)
     thresholds = dict(request.thresholds_key()) or None

@@ -37,7 +37,7 @@ import gc
 import numpy as np
 import pytest
 from conftest import make_conv_work
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import (
@@ -443,6 +443,45 @@ def test_weight_pruning_is_deterministic_and_exact():
     assert prune_weights(weights, 0.0) is weights
     with pytest.raises(ValueError):
         prune_weights(weights, 1.0)
+
+
+def _reference_prune(weights: np.ndarray, fraction: float) -> np.ndarray:
+    """The literal quantile-and-mask cut :func:`prune_weights` must equal."""
+    magnitudes = np.abs(weights)
+    cutoff = np.quantile(magnitudes, fraction)
+    pruned = weights.copy()
+    pruned[magnitudes <= cutoff] = 0.0
+    return pruned
+
+
+@settings(deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]),  # heavy ties
+            st.floats(-4.0, 4.0, width=32),
+        ),
+        min_size=1,
+        max_size=64,
+    ),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    specials=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2),
+)
+@example(dtype=np.float32, values=[0.5], fraction=0.5, specials=[])
+@example(dtype=np.float64, values=[-0.0, 0.0], fraction=0.3, specials=[])
+@example(dtype=np.float32, values=[1.0, -1.0, 0.5], fraction=0.5, specials=[])
+@example(dtype=np.float64, values=[0.25], fraction=0.5, specials=[np.nan])
+@example(dtype=np.float32, values=[2.0], fraction=0.5, specials=[np.inf])
+def test_pruning_cut_matches_quantile_reference(dtype, values, fraction, specials):
+    """Byte-identical to the quantile reference, NaN/inf inputs included."""
+    weights = np.array(values + specials, dtype=dtype).reshape(1, -1, 1, 1)
+    with np.errstate(invalid="ignore"):
+        expected = _reference_prune(weights, fraction)
+        got = prune_weights(weights, fraction)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert not got.flags.writeable
 
 
 def _timing_record(timing):

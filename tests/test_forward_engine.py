@@ -18,7 +18,9 @@ from repro.nn.engine import (
     slice_result,
     threshold_scopes,
 )
-from repro.nn.inference import init_weights, run_forward
+from repro.experiments.config import PaperConfig
+from repro.nn.inference import WeightStore, init_weights, run_forward
+from repro.nn.models import build_network
 from repro.nn.network import LayerSpec, Network
 
 
@@ -62,9 +64,7 @@ NETWORKS = {"linear": linear_net, "branching": branching_net}
 def make_fixture(net_name: str, seed: int, batch: int, dtype=np.float32):
     network = NETWORKS[net_name]()
     rng = np.random.default_rng(seed)
-    store = init_weights(network, rng)
-    store.weights = {k: v.astype(dtype) for k, v in store.weights.items()}
-    store.biases = {k: v.astype(dtype) for k, v in store.biases.items()}
+    store = init_weights(network, rng, dtype=dtype)
     images = rng.normal(size=(batch, *network.input_shape)).astype(dtype)
     return network, store, images
 
@@ -203,6 +203,89 @@ class TestIncrementalEngine:
         network, store, images = make_fixture("linear", 9, batch=1)
         engine = IncrementalForwardEngine(network, store, images)
         assert engine.cache_bytes == 2 * 1024 * 1024
+
+
+@pytest.fixture(scope="module", params=PaperConfig().networks)
+def paper_fixture(request):
+    """A tiny-scale paper network with float32 weights and two images."""
+    network = build_network(
+        request.param, input_size=PaperConfig(scale="tiny").input_size(request.param)
+    )
+    rng = np.random.default_rng(13)
+    store = init_weights(network, rng, dtype=np.float32)
+    images = rng.normal(size=(2, *network.input_shape)).astype(np.float32)
+    return network, store, images
+
+
+def last_conv_index(network: Network) -> int:
+    return max(
+        idx for idx, layer in enumerate(network.layers) if layer.kind == "conv"
+    )
+
+
+def assert_same_conv_inputs(got, expected):
+    assert list(got.conv_inputs) == list(expected.conv_inputs)
+    for name, arr in expected.conv_inputs.items():
+        assert got.conv_inputs[name].tobytes() == arr.tobytes(), name
+
+
+class TestStopRule:
+    """``logits=False`` stops at the last conv layer and changes no conv input."""
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "thresholds"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_conv_inputs_equal_full_forward(self, paper_fixture, batched, pruned):
+        network, store, images = paper_fixture
+        stack = images if batched else images[0]
+        thresholds = (
+            {name: 0.05 for name in prunable_layers(network)} if pruned else None
+        )
+        full = run_forward(
+            network, store, stack, thresholds=thresholds, keep_outputs=False
+        )
+        # Without the weights of the last conv layer and everything after
+        # it, any layer computed past the stop would raise KeyError.
+        head = {layer.name for layer in network.layers[: last_conv_index(network)]}
+        head_store = WeightStore(
+            weights={k: v for k, v in store.weights.items() if k in head},
+            biases={k: v for k, v in store.biases.items() if k in head},
+        )
+        short = run_forward(
+            network, head_store, stack, thresholds=thresholds, keep_outputs=False,
+            logits=False,
+        )
+        assert full.logits is not None and short.logits is None
+        assert_same_conv_inputs(short, full)
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "thresholds"])
+    def test_engine_cache_after_truncated_walk(self, paper_fixture, pruned):
+        network, store, images = paper_fixture
+        thresholds = (
+            {name: 0.05 for name in prunable_layers(network)} if pruned else None
+        )
+        fresh = IncrementalForwardEngine(network, store, images).run(
+            thresholds=thresholds
+        )
+        engine = IncrementalForwardEngine(network, store, images)
+        short = engine.run(thresholds=thresholds, logits=False)
+        last_conv = last_conv_index(network)
+        assert short.logits is None
+        assert engine.stats.misses == last_conv  # nothing from the last conv on
+        assert_same_conv_inputs(short, fresh)
+        full = engine.run(thresholds=thresholds)
+        assert engine.stats.hits == last_conv
+        assert full.logits.tobytes() == fresh.logits.tobytes()
+        assert_same_conv_inputs(full, fresh)
+
+    def test_partial_outputs_rejected(self):
+        network, store, images = make_fixture("linear", 1, batch=1)
+        with pytest.raises(ValueError, match="keep_outputs"):
+            run_forward(network, store, images, logits=False)
+        engine = IncrementalForwardEngine(network, store, images)
+        with pytest.raises(ValueError, match="keep_outputs"):
+            engine.run(keep_outputs=True, logits=False)
+        with pytest.raises(ValueError, match="keep_outputs"):
+            engine.run_stack(images, keep_outputs=True, logits=False)
 
 
 class TestThresholdScopes:

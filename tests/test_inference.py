@@ -74,9 +74,7 @@ class TestDtypePolicy:
     def test_float32_stays_float32_end_to_end(self, rng):
         """Regression: run_forward used to upcast every image to float64."""
         net = tiny_net()
-        store = init_weights(net, rng)
-        store.weights = {k: v.astype(np.float32) for k, v in store.weights.items()}
-        store.biases = {k: v.astype(np.float32) for k, v in store.biases.items()}
+        store = init_weights(net, rng, dtype=np.float32)
         image = rng.uniform(size=net.input_shape).astype(np.float32)
         result = run_forward(net, store, image)
         assert result.outputs["conv1"].dtype == np.float32
@@ -183,3 +181,25 @@ class TestFullNetworks:
         # Aux branches computed, trunk unaffected by them.
         assert "loss1/conv" in result.conv_inputs
         assert result.outputs["prob"].sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["alex", "google", "nin", "vgg19", "cnnM", "cnnS"]
+)
+def test_float32_init_equals_draw_then_cast(name):
+    """Casting each layer right after its draw leaves the RNG stream and
+    the store bytes exactly as drawing in float64 and casting afterwards
+    (the reference below replays that float64 stream layer by layer)."""
+    net = build_network(name, input_size=67 if name == "alex" else 64)
+    store = init_weights(net, np.random.default_rng(7), dtype=np.float32)
+    stream = np.random.default_rng(7)
+    expected_layers = [layer.name for layer in net.layers if layer.kind in ("conv", "fc")]
+    assert list(store.weights) == expected_layers
+    for layer, weights in store.weights.items():
+        fan_in = int(np.prod(weights.shape[1:]))
+        drawn = stream.normal(0.0, np.sqrt(2.0 / fan_in), size=weights.shape)
+        assert weights.dtype == np.float32
+        assert weights.tobytes() == drawn.astype(np.float32).tobytes(), layer
+        assert store.biases[layer].tobytes() == np.zeros(
+            weights.shape[0], dtype=np.float32
+        ).tobytes(), layer

@@ -43,6 +43,8 @@ from repro.serve import (
     summarize,
 )
 
+from repro.serve.models import execute_batch
+
 SERVE_NETWORKS = ("alex", "cnnS")
 
 
@@ -156,6 +158,42 @@ class TestThresholdedDifferential:
             request.id: canonical_response_bytes(direct_response(repo, request))
             for request in requests
         }
+
+
+class TestForwardDepth:
+    """A batch that reads no logits stops its forward at the last conv
+    layer; a batch with any classify request walks the whole network.
+    Either way every reply equals the full, unbatched direct forward."""
+
+    @staticmethod
+    def batch(kinds, thresholds=None, probe=False):
+        return [
+            ServeRequest(
+                id=f"d{index}", kind=kind, network="alex",
+                image_seed=100 + index,
+                image_index=0 if probe else None,
+                thresholds=thresholds,
+                backend="cnv2" if kind == "timing" and index % 2 else None,
+            )
+            for index, kind in enumerate(kinds)
+        ]
+
+    @pytest.mark.parametrize("probe", [False, True], ids=["seeded", "probe"])
+    @pytest.mark.parametrize("thresholds", [None, {"conv1": 0.5, "conv2": 0.5}])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("classify", "zero_fraction", "timing", "timing"),
+            ("zero_fraction", "timing", "timing"),
+        ],
+        ids=["with-classify", "conv-inputs-only"],
+    )
+    def test_coalesced_batch_matches_direct(self, repo, kinds, thresholds, probe):
+        requests = self.batch(kinds, thresholds, probe)
+        replies = execute_batch(repo, requests)
+        assert [canonical_response_bytes(r) for r in replies] == [
+            canonical_response_bytes(direct_response(repo, r)) for r in requests
+        ]
 
 
 class TestOverload:
