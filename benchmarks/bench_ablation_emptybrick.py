@@ -16,7 +16,7 @@ def _speedups(ctx):
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
         fwd = ctx.forward(name, 0)
-        base = ctx.baseline_timing(name).total_cycles
+        base = ctx.backend_timing("baseline", name).total_cycles
         one = cnv_network_timing(nctx.network, fwd.conv_inputs, ctx.arch).total_cycles
         free = cnv_network_timing(
             nctx.network, fwd.conv_inputs, ctx.arch.with_(empty_brick_cycles=0)

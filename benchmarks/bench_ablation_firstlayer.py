@@ -16,7 +16,7 @@ def _sweep(ctx):
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
         fwd = ctx.forward(name, 0)
-        base = ctx.baseline_timing(name).total_cycles
+        base = ctx.backend_timing("baseline", name).total_cycles
         plain = cnv_network_timing(nctx.network, fwd.conv_inputs, ctx.arch).total_cycles
         encoded = cnv_network_timing(
             nctx.network, fwd.conv_inputs, ctx.arch.with_(first_layer_encoded=True)

@@ -7,8 +7,6 @@ networks.
 """
 
 from conftest import run_once
-from repro.baseline.gated import gated_network_timing
-from repro.core.timing import cnv_network_timing
 from repro.experiments.report import format_table
 from repro.power.energy import energy_report
 
@@ -17,11 +15,10 @@ def _compare(ctx):
     rows = []
     freq = ctx.arch.frequency_ghz
     for name in ctx.config.networks:
-        nctx = ctx.network_ctx(name)
-        fwd = ctx.forward(name, 0)
-        base = ctx.baseline_timing(name)
-        gated = gated_network_timing(nctx.network, fwd.conv_inputs, ctx.arch)
-        cnv = cnv_network_timing(nctx.network, fwd.conv_inputs, ctx.arch)
+        base, gated, cnv = (
+            ctx.backend_timing(backend, name)
+            for backend in ("baseline", "gated", "cnv")
+        )
         e_base = energy_report(base.counters(), base.seconds(freq), "dadiannao")
         e_gated = energy_report(
             gated.counters(), gated.seconds(freq), "dadiannao-gated"

@@ -28,8 +28,8 @@ def main() -> None:
     print(f"calibrating alex at {args.scale} scale "
           f"(input {config.input_size('alex')}px)...")
 
-    base = ctx.baseline_timing("alex")
-    cnv = ctx.cnv_timing("alex")
+    base = ctx.backend_timing("baseline", "alex")
+    cnv = ctx.backend_timing("cnv", "alex")
 
     rows = []
     cnv_cycles = cnv.cycles_by_layer()

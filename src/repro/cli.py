@@ -182,8 +182,8 @@ def _run_network(args) -> int:
         execute_units(config, units, jobs=args.jobs, arch=arch, policy=policy)
     ctx = ExperimentContext(config, arch=arch)
     for name in names:
-        base = ctx.baseline_timing(name)
-        cnv = ctx.cnv_timing(name)
+        base = ctx.backend_timing("baseline", name)
+        cnv = ctx.backend_timing("cnv", name)
         cnv_by = cnv.cycles_by_layer()
         rows = []
         for layer in base.layers:

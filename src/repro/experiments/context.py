@@ -1,7 +1,7 @@
 """Shared experiment state: calibrated networks, forwards, timings.
 
 Building a paper figure needs the same expensive artifacts over and over —
-a calibrated network, forward passes, baseline/CNV timings.  The
+a calibrated network, forward passes, backend timings.  The
 :class:`ExperimentContext` builds each once and caches it in memory, and
 persists every *derived* artifact (calibration shifts, sparsity reports,
 timing summaries, position statistics) to the content-addressed
@@ -23,8 +23,9 @@ from repro.backends import (
     get_backend,
     prune_conv_weights,
 )
-from repro.baseline.timing import baseline_network_timing
-from repro.core.timing import cnv_network_timing
+# Unused here; perfbench/tracer.py patches these names in this module.
+from repro.baseline.timing import baseline_network_timing  # noqa: F401
+from repro.core.timing import cnv_network_timing  # noqa: F401
 from repro.experiments.config import PaperConfig
 from repro.experiments.manifest import ArtifactCache, config_fingerprint
 from repro.hw.config import PAPER_CONFIG, ArchConfig
@@ -161,9 +162,7 @@ class ExperimentContext:
         self._structures: dict[str, Network] = {}
         self._engines: dict[str, IncrementalForwardEngine] = {}
         self._forwards: dict[tuple, ForwardResult] = {}
-        self._baseline_timings: dict[str, object] = {}
-        self._cnv_timings: dict[tuple, object] = {}
-        self._backend_timings: dict[tuple, object] = {}
+        self._timings: dict[tuple, NetworkTiming] = {}
         self._pruned_weights: dict[tuple, dict[str, np.ndarray]] = {}
         self._sparsity: dict[str, SparsityReport] = {}
         self._position_stats: dict[str, dict[str, float]] = {}
@@ -250,7 +249,7 @@ class ExperimentContext:
         Every forward in this context runs through one engine per network,
         so activation prefixes are shared across images, threshold
         configurations, and the consumers below (``forward``,
-        ``prediction_stability``, ``cnv_timing``, the threshold searches).
+        ``prediction_stability``, ``backend_timing``, the threshold searches).
         """
         if name not in self._engines:
             ctx = self.network_ctx(name)
@@ -268,8 +267,11 @@ class ExperimentContext:
         key = (name, image_index, thresholds_key(thresholds))
         if key in self._forwards:
             return self._forwards[key]
+        # Every consumer reads conv inputs only, so the walk stops at the
+        # last conv layer.
         batched = self.engine(name).run(
-            thresholds=thresholds, collect_conv_inputs=True, keep_outputs=False
+            thresholds=thresholds, collect_conv_inputs=True, keep_outputs=False,
+            logits=False,
         )
         result = slice_result(batched, image_index)
         # Only cache the unpruned forward — threshold sweeps would pile up
@@ -277,54 +279,6 @@ class ExperimentContext:
         if not thresholds:
             self._forwards[key] = result
         return result
-
-    def baseline_timing(self, name: str):
-        """Baseline NetworkTiming (value-independent; computed once)."""
-        if name not in self._baseline_timings:
-            payload = self.artifacts.load("baseline_timing", network=name)
-            if payload is not None:
-                self._baseline_timings[name] = timing_from_payload(payload)
-            else:
-                ctx = self.network_ctx(name)
-                fwd = self.forward(name, 0)
-                timing = baseline_network_timing(ctx.network, fwd.conv_inputs, self.arch)
-                self.artifacts.store(
-                    "baseline_timing", timing_to_payload(timing), network=name
-                )
-                self._baseline_timings[name] = timing
-            self._publish_activity(self._baseline_timings[name])
-        return self._baseline_timings[name]
-
-    def cnv_timing(
-        self,
-        name: str,
-        thresholds: dict[str, float] | None = None,
-        image_index: int = 0,
-    ):
-        """CNV NetworkTiming for one image under optional pruning thresholds."""
-        key = (name, thresholds_key(thresholds), image_index)
-        if key in self._cnv_timings:
-            return self._cnv_timings[key]
-        params = {
-            "network": name,
-            "thresholds": [list(item) for item in thresholds_key(thresholds)],
-            "image_index": image_index,
-        }
-        payload = self.artifacts.load("cnv_timing", **params)
-        if payload is not None:
-            timing = timing_from_payload(payload)
-        else:
-            ctx = self.network_ctx(name)
-            fwd = self.forward(name, image_index, thresholds=thresholds)
-            timing = cnv_network_timing(ctx.network, fwd.conv_inputs, self.arch)
-            self.artifacts.store("cnv_timing", timing_to_payload(timing), **params)
-        self._cnv_timings[key] = timing
-        # The unpruned first-image timing is the canonical activity
-        # profile of (architecture, network); pruned-config variants
-        # would drown it in near-duplicates.
-        if not thresholds and image_index == 0:
-            self._publish_activity(timing)
-        return timing
 
     def pruned_conv_weights(
         self, name: str, sparsity: float = DEFAULT_WEIGHT_SPARSITY
@@ -347,56 +301,51 @@ class ExperimentContext:
         thresholds: dict[str, float] | None = None,
         image_index: int = 0,
         weight_sparsity: float = DEFAULT_WEIGHT_SPARSITY,
-    ):
-        """NetworkTiming of any registered backend (registry-discovered).
+    ) -> NetworkTiming:
+        """NetworkTiming of any registered backend: the one timing path.
 
-        ``baseline`` and ``cnv`` delegate to their dedicated caches above
-        (keeping their artifact kinds — and every existing golden file —
-        byte-stable); other backends persist under the ``backend_timing``
-        kind.  ``weight_sparsity`` only keys backends that model weight
-        sparsity.
+        Cached in memory and under the ``backend_timing`` artifact kind.
+        The baseline keeps one timing per network, from the unpruned
+        image-0 forward, whatever ``thresholds``/``image_index`` say: its
+        cycles do not depend on values (its lane events do).
+        ``weight_sparsity`` only keys backends that model weight sparsity.
         """
         spec = get_backend(backend)  # raises KeyError for unknown names
         if backend == "baseline":
-            return self.baseline_timing(name)
-        if backend == "cnv":
-            return self.cnv_timing(name, thresholds, image_index)
-        key = (
-            backend,
-            name,
-            thresholds_key(thresholds),
-            image_index,
-            float(weight_sparsity) if spec.needs_weights else None,
-        )
-        if key in self._backend_timings:
-            return self._backend_timings[key]
+            thresholds, image_index = None, 0
+        tkey = thresholds_key(thresholds)
         params = {
             "backend": backend,
             "network": name,
-            "thresholds": [list(item) for item in thresholds_key(thresholds)],
+            "thresholds": [list(item) for item in tkey],
             "image_index": image_index,
         }
         if spec.needs_weights:
             params["weight_sparsity"] = float(weight_sparsity)
-        payload = self.artifacts.load("backend_timing", **params)
-        if payload is not None:
-            timing = timing_from_payload(payload)
-        else:
-            ctx = self.network_ctx(name)
+        key = (backend, name, tkey, image_index, params.get("weight_sparsity"))
+        if key in self._timings:
+            return self._timings[key]
+
+        def simulate() -> dict:
+            network = self.network_ctx(name).network
             fwd = self.forward(name, image_index, thresholds=thresholds)
             weights = (
                 self.pruned_conv_weights(name, weight_sparsity)
                 if spec.needs_weights
                 else None
             )
-            timing = spec.network_timing(
-                ctx.network, fwd.conv_inputs, self.arch, weights
+            return timing_to_payload(
+                spec.network_timing(network, fwd.conv_inputs, self.arch, weights)
             )
-            self.artifacts.store(
-                "backend_timing", timing_to_payload(timing), **params
-            )
-        self._backend_timings[key] = timing
-        if not thresholds and image_index == 0:
+
+        timing = timing_from_payload(
+            self.artifacts.get_or_compute("backend_timing", simulate, **params)
+        )
+        self._timings[key] = timing
+        # The unpruned first-image timing is the canonical activity
+        # profile of (architecture, network); pruned-config variants
+        # would drown it in near-duplicates.
+        if not tkey and image_index == 0:
             self._publish_activity(timing)
         return timing
 
@@ -409,7 +358,7 @@ class ExperimentContext:
         weight_sparsity: float = DEFAULT_WEIGHT_SPARSITY,
     ) -> float:
         """Baseline-over-backend cycle ratio (the fig9_backends quantity)."""
-        base = self.baseline_timing(name).total_cycles
+        base = self.backend_timing("baseline", name).total_cycles
         timing = self.backend_timing(
             backend, name, thresholds, image_index, weight_sparsity
         )
@@ -427,17 +376,6 @@ class ExperimentContext:
             f"activity.{timing.architecture}.{timing.network}"
         )
 
-    def speedup(
-        self,
-        name: str,
-        thresholds: dict[str, float] | None = None,
-        image_index: int = 0,
-    ) -> float:
-        """Baseline-over-CNV cycle ratio (the Fig. 9 quantity)."""
-        base = self.baseline_timing(name).total_cycles
-        cnv = self.cnv_timing(name, thresholds, image_index).total_cycles
-        return base / cnv
-
     def speedups_across_images(self, name: str) -> list[float]:
         """Per-image CNV speedups (baseline cycles are value-independent).
 
@@ -445,7 +383,7 @@ class ExperimentContext:
         input-stable; the spread here quantifies that for the speedups.
         """
         return [
-            self.speedup(name, image_index=idx)
+            self.backend_speedup("cnv", name, image_index=idx)
             for idx in range(self.config.num_images)
         ]
 
@@ -455,14 +393,16 @@ class ExperimentContext:
     def sparsity(self, name: str) -> SparsityReport:
         """Fig. 1 statistics over all configured images."""
         if name not in self._sparsity:
-            payload = self.artifacts.load("sparsity", network=name)
-            if payload is not None:
-                self._sparsity[name] = _sparsity_from_payload(payload)
-            else:
+
+            def measure() -> dict:
                 ctx = self.network_ctx(name)
-                report = measure_zero_fractions(ctx.network, ctx.store, ctx.images)
-                self.artifacts.store("sparsity", _sparsity_to_payload(report), network=name)
-                self._sparsity[name] = report
+                return _sparsity_to_payload(
+                    measure_zero_fractions(ctx.network, ctx.store, ctx.images)
+                )
+
+            self._sparsity[name] = _sparsity_from_payload(
+                self.artifacts.get_or_compute("sparsity", measure, network=name)
+            )
         return self._sparsity[name]
 
     def position_stats(self, name: str) -> dict[str, float]:
@@ -472,14 +412,13 @@ class ExperimentContext:
         are zero on *every* sampled image, and on at least all-but-one —
         the Section II argument that static elimination cannot work.
         """
-        if name in self._position_stats:
-            return self._position_stats[name]
-        payload = self.artifacts.load("position_stats", network=name)
-        if payload is None:
-            payload = self._compute_position_stats(name)
-            self.artifacts.store("position_stats", payload, network=name)
-        self._position_stats[name] = payload
-        return payload
+        if name not in self._position_stats:
+            self._position_stats[name] = self.artifacts.get_or_compute(
+                "position_stats",
+                lambda: self._compute_position_stats(name),
+                network=name,
+            )
+        return self._position_stats[name]
 
     def _compute_position_stats(self, name: str) -> dict[str, float]:
         nctx = self.network_ctx(name)
@@ -512,17 +451,6 @@ class ExperimentContext:
             "always_zero": always / positions,
             "near_always_zero": near_always / positions,
         }
-
-    def logits(
-        self,
-        name: str,
-        image_index: int = 0,
-        thresholds: dict[str, float] | None = None,
-    ) -> np.ndarray:
-        result = self.forward(name, image_index, thresholds=thresholds)
-        if result.logits is None:
-            raise ValueError(f"network {name} produced no logits")
-        return result.logits
 
     def prediction_stability(
         self, name: str, thresholds: dict[str, float] | None

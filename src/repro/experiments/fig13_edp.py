@@ -23,11 +23,11 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         base_rep, cnv_rep = network_energy(ctx, name)
         base_metrics = EfficiencyMetrics(
             energy_j=base_rep.total_j,
-            delay_s=ctx.baseline_timing(name).seconds(freq),
+            delay_s=ctx.backend_timing("baseline", name).seconds(freq),
         )
         cnv_metrics = EfficiencyMetrics(
             energy_j=cnv_rep.total_j,
-            delay_s=ctx.cnv_timing(name).seconds(freq),
+            delay_s=ctx.backend_timing("cnv", name).seconds(freq),
         )
         ratios = improvement(base_metrics, cnv_metrics)
         edps.append(ratios["edp"])

@@ -79,18 +79,18 @@ def scnn_pair_count(
         "thresholds": [list(item) for item in thresholds_key(thresholds)],
         "weight_sparsity": float(weight_sparsity),
     }
-    payload = ctx.artifacts.load("scnn_pairs", **params)
-    if payload is not None:
-        return int(payload["pairs"])
-    nctx = ctx.network_ctx(name)
-    fwd = ctx.forward(name, 0, thresholds=thresholds)
-    weights = ctx.pruned_conv_weights(name, weight_sparsity)
-    pairs = sum(
-        effectual_pair_count(work, weights[work.name])
-        for work in conv_works_from_inputs(nctx.network, fwd.conv_inputs)
-    )
-    ctx.artifacts.store("scnn_pairs", {"pairs": pairs}, **params)
-    return pairs
+
+    def count() -> dict:
+        network = ctx.network_ctx(name).network
+        fwd = ctx.forward(name, 0, thresholds=thresholds)
+        weights = ctx.pruned_conv_weights(name, weight_sparsity)
+        pairs = sum(
+            effectual_pair_count(work, weights[work.name])
+            for work in conv_works_from_inputs(network, fwd.conv_inputs)
+        )
+        return {"pairs": pairs}
+
+    return int(ctx.artifacts.get_or_compute("scnn_pairs", count, **params)["pairs"])
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:

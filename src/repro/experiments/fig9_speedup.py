@@ -57,7 +57,7 @@ def run(ctx: ExperimentContext, with_pruning: bool = True) -> ExperimentResult:
             thresholds = {
                 k: raw_to_real(v) for k, v in point.raw_thresholds.items() if v
             }
-            pruning_speedup = ctx.speedup(name, thresholds)
+            pruning_speedup = ctx.backend_speedup("cnv", name, thresholds)
             pruned.append(pruning_speedup)
             row["CNV+Pruning"] = pruning_speedup
             row["paper_CNV+Pruning"] = PAPER_PRUNING_SPEEDUPS.get(name, float("nan"))

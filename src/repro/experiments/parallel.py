@@ -144,8 +144,8 @@ def run_unit(
             elif unit.kind == "smallcnn":
                 smallcnn_tradeoff(ctx)
             elif unit.kind == "timings":
-                ctx.baseline_timing(unit.network)
-                ctx.cnv_timing(unit.network)
+                ctx.backend_timing("baseline", unit.network)
+                ctx.backend_timing("cnv", unit.network)
             else:
                 EXPERIMENTS[unit.experiment](ctx)
         except Exception as exc:  # recorded; the caller decides retry vs surface

@@ -165,7 +165,7 @@ def sweep_deltas(
                     delta=delta,
                     raw_thresholds=raw,
                     stability=ctx.prediction_stability(name, thresholds),
-                    speedup=ctx.speedup(name, thresholds),
+                    speedup=ctx.backend_speedup("cnv", name, thresholds),
                 )
                 ctx.artifacts.store(
                     "sweep_point",
@@ -202,6 +202,6 @@ def lossless_thresholds(
             delta=0.0,
             raw_thresholds={k: 0 for k in quantile_thresholds(ctx, name, deltas[0])},
             stability=1.0,
-            speedup=ctx.speedup(name),
+            speedup=ctx.backend_speedup("cnv", name),
         )
     return max(lossless, key=lambda p: p.speedup)

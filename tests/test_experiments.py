@@ -1,8 +1,12 @@
 """Experiment-harness tests (repro.experiments) at smoke scale."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.backends import backend_names
+from repro.core.pruning import raw_to_real
 from repro.experiments import (
     fig1_zero_fraction,
     fig9_speedup,
@@ -14,7 +18,11 @@ from repro.experiments import (
     table2_thresholds,
 )
 from repro.experiments.config import PaperConfig
-from repro.experiments.context import ExperimentContext, thresholds_key
+from repro.experiments.context import (
+    ExperimentContext,
+    thresholds_key,
+    timing_to_payload,
+)
 from repro.experiments.report import ExperimentResult, format_table, geometric_mean
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.experiments.thresholds import (
@@ -23,6 +31,7 @@ from repro.experiments.thresholds import (
     sweep_deltas,
     threshold_groups,
 )
+from repro.nn.inference import WeightStore
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +43,16 @@ def ctx(tmp_path_factory):
         num_images=2,
     )
     return ExperimentContext(config)
+
+
+def pruning_thresholds(ctx, name, delta=0.3):
+    raw = quantile_thresholds(ctx, name, delta)
+    return {k: raw_to_real(v) for k, v in raw.items() if v}
+
+
+def timing_bytes(timing) -> str:
+    """Cycles, lane events and counters of a timing, as exact JSON."""
+    return json.dumps(timing_to_payload(timing), sort_keys=True)
 
 
 class TestConfig:
@@ -70,13 +89,80 @@ class TestContext:
         assert path.exists()
 
     def test_speedup_above_one(self, ctx):
-        assert ctx.speedup("alex") > 1.0
+        assert ctx.backend_speedup("cnv", "alex") > 1.0
 
     def test_baseline_timing_memoized(self, ctx):
-        assert ctx.baseline_timing("alex") is ctx.baseline_timing("alex")
+        base = ctx.backend_timing("baseline", "alex")
+        assert ctx.backend_timing("baseline", "alex") is base
+        # One baseline timing per network, whatever config is asked for.
+        pruned = ctx.backend_timing(
+            "baseline", "alex", pruning_thresholds(ctx, "alex"), image_index=1
+        )
+        assert pruned is base
 
     def test_prediction_stability_of_unpruned_is_one(self, ctx):
         assert ctx.prediction_stability("alex", None) == 1.0
+
+
+class TestSingleTimingPath:
+    """Every timing comes from ``backend_timing`` and its one artifact kind."""
+
+    def test_cold_then_warm_every_backend(self, tmp_path):
+        config = PaperConfig(
+            scale="tiny", networks=["alex"], cache_dir=tmp_path, num_images=1
+        )
+        cold = ExperimentContext(config)
+        thresholds = pruning_thresholds(cold, "alex")
+        configs = [
+            (backend, t) for backend in backend_names() for t in (None, thresholds)
+        ]
+        expected = {
+            (b, thresholds_key(t)): timing_bytes(cold.backend_timing(b, "alex", t))
+            for b, t in configs
+        }
+        warm = ExperimentContext(config)
+        for b, t in configs:
+            got = timing_bytes(warm.backend_timing(b, "alex", t))
+            assert got == expected[(b, thresholds_key(t))], b
+        assert warm.artifacts.misses == 0
+        # The baseline's pruned request is its unpruned timing: one object.
+        assert warm.artifacts.hits == len(configs) - 1
+        documents = [
+            json.loads(path.read_text())
+            for path in (tmp_path / "objects").rglob("*.json")
+        ]
+        kinds = {
+            doc["kind"] for doc in documents
+            if isinstance(doc["payload"], dict) and "layers" in doc["payload"]
+        }
+        assert kinds == {"backend_timing"}
+
+    def test_timing_forwards_stop_at_the_last_conv_layer(self, ctx, tmp_path):
+        """A store without any weight from the last conv layer on times
+        every backend exactly like the full store."""
+        full = ctx.network_ctx("alex")
+        layers = full.network.layers
+        last_conv = max(i for i, layer in enumerate(layers) if layer.kind == "conv")
+        head = {layer.name for layer in layers[:last_conv]}
+        store = WeightStore(
+            weights={k: v for k, v in full.store.weights.items() if k in head},
+            biases={k: v for k, v in full.store.biases.items() if k in head},
+            shifts=dict(full.store.shifts),
+        )
+        config = PaperConfig(
+            scale="tiny", networks=["alex"], cache_dir=tmp_path,
+            num_images=ctx.config.num_images,
+        )
+        short = ExperimentContext(config, stores={"alex": store})
+        # The weight-sparse simulators time the last conv from its filter
+        # bank; only the forward must do without it.
+        short.pruned_conv_weights = ctx.pruned_conv_weights
+        thresholds = pruning_thresholds(ctx, "alex")
+        for backend in backend_names():
+            for t in (None, thresholds):
+                assert timing_bytes(short.backend_timing(backend, "alex", t)) == (
+                    timing_bytes(ctx.backend_timing(backend, "alex", t))
+                ), (backend, t)
 
 
 class TestThresholdDerivation:
@@ -134,7 +220,7 @@ class TestExperimentModules:
         for name in ctx.config.networks:
             assert by[(name, "baseline")]["total"] == pytest.approx(1.0)
             assert by[(name, "cnv")]["total"] == pytest.approx(
-                1.0 / ctx.speedup(name), rel=1e-6
+                1.0 / ctx.backend_speedup("cnv", name), rel=1e-6
             )
             # CNV keeps baseline's other/conv1 event counts.
             assert by[(name, "cnv")]["conv1"] == pytest.approx(
@@ -161,7 +247,7 @@ class TestExperimentModules:
     def test_table2(self, ctx):
         result = table2_thresholds.run(ctx)
         for row in result.rows:
-            assert row["speedup"] >= ctx.speedup(row["network"]) - 1e-9
+            assert row["speedup"] >= ctx.backend_speedup("cnv", row["network"]) - 1e-9
 
 
 class TestReport:

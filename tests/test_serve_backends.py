@@ -26,12 +26,15 @@ import pytest
 
 from repro.backends import backend_names
 from repro.serve import (
+    ModelRepository,
+    ServeConfig,
     ServeRequest,
     ShardTierConfig,
     ShardedService,
     canonical_response_bytes,
     direct_response,
 )
+from repro.serve.models import execute_batch
 from test_serve_sharded import det_config, drive_sharded
 
 SERVE_NETWORKS = ("alex", "cnnS")
@@ -113,6 +116,38 @@ class TestBackendDifferential:
                     assert payload["backend_cycles"] == (
                         payload["baseline_cycles"]
                     )
+
+
+class TestOneTimingPath:
+    """A backend-less timing request is the ``cnv`` backend's answer
+    under the legacy keys; both share one baseline memo."""
+
+    @pytest.mark.parametrize(
+        "source", [{"image_index": 0}, {"image_seed": 7}], ids=["probe", "seeded"]
+    )
+    def test_backendless_request_equals_cnv_backend(self, source):
+        repo = ModelRepository(
+            ServeConfig(scale="tiny", networks=("alex",), use_cache=False)
+            .paper_config()
+        )
+        legacy, cnv, base = (
+            response.payload
+            for response in execute_batch(repo, [
+                ServeRequest(id=f"r{i}", kind="timing", network="alex",
+                             backend=backend, **source)
+                for i, backend in enumerate((None, "cnv", "baseline"))
+            ])
+        )
+        assert legacy["baseline_cycles"] == cnv["baseline_cycles"]
+        assert legacy["cnv_cycles"] == cnv["backend_cycles"]
+        assert legacy["speedup"] == cnv["speedup"]
+        assert base["backend_cycles"] == base["baseline_cycles"] == (
+            legacy["baseline_cycles"]
+        )
+        if source.get("image_index") == 0:
+            # The probe image is the experiment context's image 0.
+            timing = repo.context.backend_timing("cnv", "alex")
+            assert legacy["cnv_cycles"] == timing.total_cycles
 
 
 class TestBackendValidation:
